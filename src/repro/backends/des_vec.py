@@ -10,13 +10,14 @@ boots, monitor samples — where the unchanged
 :mod:`repro.core.controlplane` machinery takes over; between epochs,
 whole arrival blocks move through numpy kernels.
 
-The control trajectory is bit-identical to the scalar DES (the
-``tests/test_batch_engine.py`` cross-checks), and on jitterless
-scenarios the data plane itself is exact: accepted/rejected/completed
-counts and QoS violations match the scalar engine one for one.  Under
-service jitter the two backends consume the service random stream in a
-different order (per-window block draws vs per-start draws), so
-per-request outcomes are statistically, not pointwise, identical.
+On jitterless scenarios des-vec is exact: the control and fleet
+trajectories, accepted/rejected/completed counts, QoS violations and
+the bill match the scalar DES bit for bit (the
+``tests/test_batch_engine.py`` cross-checks).  Under service jitter the
+match is statistical only: des-vec draws one service time per arrival,
+a window at a time, while the scalar instance draws one at each
+service start and only for admitted requests.  Per-request outcomes
+then differ, and on some seeds so do control decisions and counts.
 """
 
 from __future__ import annotations

@@ -12,33 +12,39 @@ Epoch model
 The ``des-vec`` backend drives the fleet with an *epoch loop*: before
 every engine event (control alerts, Algorithm-1 decisions, VM boots,
 monitor samples) it calls :meth:`advance` up to the event's timestamp.
-``advance`` consumes the pending arrival buffer in *blocks*:
+A request's departure is fixed when it is dispatched
+(:class:`~repro.sim.batch.SoAQueues`), so ``advance`` only has to admit
+arrivals; it consumes the pending arrival buffer in *blocks*:
 
-1. drain completions up to the next arrival (:meth:`SoAQueues.drain`);
-2. if every active station is full, bulk-reject arrivals up to the
-   first completion (one ``searchsorted``);
-3. otherwise assign a block of arrivals cyclically over the non-full
-   stations in round-robin-pointer order, bounded by
-   :func:`~repro.sim.batch.safe_block_length` (no station overflows)
-   and by the first completion of a *full* station (the full set cannot
-   shrink mid-block) — exactly the conditions under which blocked
-   cyclic assignment reproduces the scalar balancer's pointer walk,
-   arrival by arrival.
+1. if every active station is full, bulk-reject arrivals up to the
+   first release of a full station (one ``searchsorted``);
+2. otherwise offer the arrivals up to the earliest of the next release
+   of a full station, the span end and ``max_block`` to the non-full
+   stations, cyclically in round-robin-pointer order.  The kernel
+   computes the block's departures and cuts it at the first arrival
+   that finds its station full — there the scalar balancer would skip
+   the station, so the next block starts at that arrival with the
+   open set re-planned.  Up to the cut, blocked cyclic assignment is
+   the scalar balancer's pointer walk, arrival by arrival.
 
-Statistics are flushed once per ``advance`` span: completions are
-merged across drain waves, sorted by departure time, and recorded
-through the monitor/metrics *bulk* interfaces, whose arithmetic is
-documented (and tested) to be exact for the jitterless cross-check
-scenarios.  Because span boundaries are engine events — never block
+Completion is not a simulation step.  At every span end the pooled
+requests are split once at the boundary (``dep < t`` before an epoch,
+``dep ≤ t`` at the horizon), sorted by departure time and recorded
+through the monitor/metrics *bulk* interfaces; a draining station is
+destroyed at its last departure and a killed station loses its pooled
+requests.  Because span boundaries are engine events — never block
 boundaries — every recorded quantity is invariant to the block size
 (the hypothesis property test in ``tests/test_batch_engine.py``).
 
-Fidelity to the scalar fleet, and the two documented deviations:
+Fidelity to the scalar fleet:
 
-* the service-time stream is drawn per *window* (``draw_many``) instead
-  of per service *start*, so under service jitter the two backends see
-  the same distribution but different per-request draws (jitterless
-  runs are bit-identical);
+* jitterless runs are exact — control and fleet series, counts, QoS
+  violations and the bill are bit-identical to the scalar backend;
+* under service jitter the match is statistical only: the service-time
+  stream is drawn per *window* (``draw_many``) in arrival order, while
+  the scalar instance draws at service *start* and only for admitted
+  requests, so the two backends see the same distribution but
+  different per-request draws;
 * simultaneous events of measure zero (an arrival or completion at
   exactly a control epoch) resolve in a fixed documented order rather
   than by engine sequence number.
@@ -46,7 +52,7 @@ Fidelity to the scalar fleet, and the two documented deviations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -131,17 +137,14 @@ class VectorFleet:
         self._booting: List[int] = []
         self._draining: List[int] = []
         self._active_idx = np.empty(0, dtype=np.intp)
-        self._live_idx = np.empty(0, dtype=np.intp)
         self._rr = 0
         # -- arrival buffer (the broker's sink) ------------------------
         self._times = np.empty(0)
         self._services = np.empty(0)
         self._pos = 0
         # -- span accumulators (reset at every flush) ------------------
-        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._span_accepted = 0
         self._span_rejected = 0
-        self._pending_destroy: List[Tuple[float, int]] = []
         self._accepting: Optional[bool] = None
         # -- counters --------------------------------------------------
         self.arrivals_processed = 0
@@ -174,15 +177,12 @@ class VectorFleet:
 
     def occupancy(self, idx: int) -> int:
         """Requests on board one station (in service + queued)."""
-        return int(self._soa.qlen[idx]) + int(self._soa.svc_end[idx] != np.inf)
+        return int(np.count_nonzero(self._soa.pool()[0] == idx))
 
     @property
     def in_flight(self) -> int:
         """Admitted requests not yet completed across the fleet."""
-        live = self._live_idx
-        if live.size == 0:
-            return 0
-        return int(self._soa.occupancy(live).sum())
+        return int(self._soa.pool()[0].size)
 
     # ------------------------------------------------------------------
     # scaling (identical ordering semantics to ApplicationFleet)
@@ -246,7 +246,7 @@ class VectorFleet:
             self._after_membership_change()
             return
         # 2. Destroy idle actives immediately.
-        occ = {i: self.occupancy(i) for i in self._active}
+        occ = np.bincount(self._soa.pool()[0], minlength=self._soa.allocated)
         idle = [i for i in self._active if occ[i] == 0]
         for idx in idle[:count]:
             self._active.remove(idx)
@@ -264,7 +264,6 @@ class VectorFleet:
         self._after_membership_change()
 
     def _destroy(self, idx: int, t: float, reason: str) -> None:
-        self._soa.clear(idx)
         self._datacenter.destroy_vm(self._vms.pop(idx), t)
         self._emit_vm("vm.destroyed", idx, t=t, reason=reason)
 
@@ -285,10 +284,10 @@ class VectorFleet:
         Mirrors :meth:`ApplicationFleet.kill` exactly: queued and
         in-service requests die with the station and are recorded as
         losses, not rejections.  The injector fires at
-        ``PRIORITY_HIGH``, i.e. after the epoch loop's strict drain up
-        to *now* — so a request that would complete at the kill instant
-        is still aboard and is lost, matching the scalar engine's
-        event ordering (kill cancels the pending completion).
+        ``PRIORITY_HIGH``, i.e. after the epoch loop's strict flush up
+        to *now* — so a request departing at the kill instant is still
+        in the pool and is lost, matching the scalar engine's event
+        ordering (kill cancels the pending completion).
         """
         for bucket in (self._active, self._booting, self._draining):
             if idx in bucket:
@@ -296,7 +295,7 @@ class VectorFleet:
                 break
         else:
             return 0  # already destroyed
-        lost = self._soa.clear(idx)
+        lost = self._soa.evict(idx)
         self._datacenter.destroy_vm(self._vms.pop(idx), self._engine.now)
         self._emit_vm("vm.destroyed", idx, reason=reason, lost=lost)
         self._metrics.record_loss(lost)
@@ -306,12 +305,8 @@ class VectorFleet:
     def _after_membership_change(self) -> None:
         n = len(self._active)
         self._rr = self._rr % n if n else 0
-        self._refresh_index_cache()
-        self._metrics.record_fleet_size(self._engine.now, self.live_count)
-
-    def _refresh_index_cache(self) -> None:
         self._active_idx = np.array(self._active, dtype=np.intp)
-        self._live_idx = np.array(self._active + self._draining, dtype=np.intp)
+        self._metrics.record_fleet_size(self._engine.now, self.live_count)
 
     # ------------------------------------------------------------------
     # arrival sink (the broker's window hand-off)
@@ -357,21 +352,19 @@ class VectorFleet:
         """
         t_end = float(t_end)
         self._consume_arrivals(t_end)
-        self._drain_until(t_end, strict=True)
-        self._flush(t_end)
+        self._flush(t_end, strict=True)
 
     def finish(self, horizon: float) -> None:
         """Close the data plane at the horizon (completions inclusive).
 
         Consumes the arrivals remaining after the last engine event,
-        then drains completions *including* those at exactly the
+        then reports completions *including* those at exactly the
         horizon — the scalar engine fires those events, while the epoch
-        loop's strict drains exclude them.
+        loop's strict flushes exclude them.
         """
         horizon = float(horizon)
         self._consume_arrivals(horizon)
-        self._drain_until(horizon, strict=False)
-        self._flush(horizon)
+        self._flush(horizon, strict=False)
 
     def _consume_arrivals(self, t_end: float) -> None:
         """Admit or reject every buffered arrival strictly before ``t_end``."""
@@ -379,83 +372,46 @@ class VectorFleet:
         times = self._times
         services = self._services
         i = self._pos
-        n = times.size
-        k = self.capacity
-        while i < n and times[i] < t_end:
-            t_arr = float(times[i])
-            self._drain_until(t_arr, strict=False)
+        stop = int(np.searchsorted(times, t_end, side="left"))
+        while i < stop:
             act = self._active_idx
             na = act.size
             if na == 0:
-                j = int(np.searchsorted(times, t_end, side="left"))
-                self._reject_block(times, i, j)
-                i = j
-                continue
-            occ = soa.qlen[act] + (soa.svc_end[act] != np.inf)
-            open_mask = occ < k
-            if not open_mask.any():
-                # All full: the paper's rejection condition, in bulk up
-                # to the first slot-freeing completion.
-                t_free = float(soa.svc_end[act].min())
-                j = int(np.searchsorted(times, min(t_free, t_end), side="left"))
+                self._reject_block(times, i, stop)
+                i = stop
+                break
+            # A station is full on an arrival when its departure k
+            # places back is later; a departure at exactly the arrival
+            # instant has already freed its slot.
+            oldest = soa.recent[act, 0]
+            full = oldest > times[i]
+            if full.all():
+                # The paper's rejection condition, in bulk up to the
+                # first slot-freeing departure.
+                j = int(np.searchsorted(times, oldest.min(), side="left"))
+                j = min(j, stop)
                 self._reject_block(times, i, j)
                 i = j
                 continue
             # Cyclic station order from the round-robin pointer.
             order = np.concatenate((np.arange(self._rr, na), np.arange(self._rr)))
-            order_open = order[open_mask[order]]
-            stations = act[order_open]
-            n_open = stations.size
-            occ_open = occ[order_open]
-            l_safe = int(np.min(np.arange(n_open) + (k - occ_open) * n_open))
-            if open_mask.all():
-                t_full = t_end
-            else:
-                t_full = float(soa.svc_end[act[~open_mask]].min())
-            j = int(np.searchsorted(times, min(t_full, t_end), side="left"))
-            j = min(j, i + l_safe, i + self._max_block)
-            block = j - i
-            for r in range(0, block, n_open):
-                c = min(n_open, block - r)
-                soa.assign(stations[:c], times[i + r : i + r + c], services[i + r : i + r + c])
-            self._accept_block(times, i, j)
-            self._rr = int((order_open[(block - 1) % n_open] + 1) % na)
-            i = j
+            j = min(stop, i + self._max_block)
+            if full.any():
+                order = order[~full[order]]
+                # The full set cannot shrink before its first release.
+                t_free = oldest[full].min()
+                j = min(j, int(np.searchsorted(times, t_free, side="left")))
+            width = order.size
+            stations = np.resize(act[order], j - i)
+            took = soa.assign(stations, times[i:j], services[i:j], width)
+            self._accept_block(times, i, i + took)
+            self._rr = int((order[(took - 1) % width] + 1) % na)
+            i += took
         self._pos = i
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _drain_until(self, t: float, strict: bool) -> None:
-        live = self._live_idx
-        if live.size == 0:
-            return
-        waves = self._soa.drain(live, t, strict=strict)
-        if not waves:
-            return
-        draining = self._draining
-        soa = self._soa
-        # Graceful-drain completions: the emptied test runs against the
-        # *post-drain* state, so a draining station that completes
-        # several requests within the drain appears in every one of its
-        # waves.  Collapse to one entry per station, keyed on its last
-        # departure (the instant it actually emptied) — waves arrive in
-        # time order, so the dict keeps the latest.
-        drained_at: Dict[int, float] = {}
-        for done, dep, arr, svc in waves:
-            self._chunks.append((dep, arr, svc))
-            if draining:
-                dr_mask = np.isin(done, np.array(draining, dtype=np.intp))
-                if dr_mask.any():
-                    cand = done[dr_mask]
-                    emptied = soa.svc_end[cand] == np.inf
-                    for idx, t_done in zip(
-                        cand[emptied].tolist(), dep[dr_mask][emptied].tolist()
-                    ):
-                        drained_at[idx] = t_done
-        for idx, t_done in drained_at.items():
-            self._pending_destroy.append((t_done, idx))
-
     def _accept_block(self, times: np.ndarray, i: int, j: int) -> None:
         count = j - i
         self._span_accepted += count
@@ -480,25 +436,13 @@ class VectorFleet:
             for t in times[i:j].tolist():
                 tracer.emit("request.rejected", t)
 
-    def _flush(self, t_end: float) -> None:
+    def _flush(self, t_end: float, strict: bool) -> None:
         """Post the span's accumulated effects in deterministic order."""
         completions = 0
-        chunks = self._chunks
-        if chunks:
-            if len(chunks) == 1:
-                dep, arr, svc = chunks[0]
-            else:
-                dep = np.concatenate([c[0] for c in chunks])
-                arr = np.concatenate([c[1] for c in chunks])
-                svc = np.concatenate([c[2] for c in chunks])
-            order = np.lexsort((arr, dep))
-            dep = dep[order]
-            arr = arr[order]
-            svc = svc[order]
+        for _, dep, arr, svc in self._soa.drain(t_end, strict=strict):
             completions = int(dep.size)
             self.completions_processed += completions
             self._monitor.record_responses(dep - arr, svc, dep)
-            self._chunks = []
         accepted = self._span_accepted
         rejected = self._span_rejected
         if accepted or rejected:
@@ -511,13 +455,17 @@ class VectorFleet:
                 self._monitor.record_rejections(rejected)
             self._span_accepted = 0
             self._span_rejected = 0
-        if self._pending_destroy:
-            for t_done, idx in sorted(self._pending_destroy):
+        if self._draining:
+            # A draining station empties at its last departure.
+            draining = np.array(self._draining, dtype=np.intp)
+            last = self._soa.recent[draining, -1]
+            emptied = last < t_end if strict else last <= t_end
+            for t_done, idx in sorted(
+                zip(last[emptied].tolist(), draining[emptied].tolist())
+            ):
                 self._draining.remove(idx)
                 self._destroy(idx, t_done, "drained")
                 self._metrics.record_fleet_size(t_done, self.live_count)
-            self._pending_destroy = []
-            self._refresh_index_cache()
         if accepted or rejected or completions:
             if self._tracer is not None:
                 self._tracer.emit(

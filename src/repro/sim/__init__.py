@@ -14,7 +14,6 @@ from .batch import (
     fifo_departures,
     fifo_departures_grouped,
     round_robin_departures,
-    safe_block_length,
 )
 from .calendar import (
     DAY_NAMES,
@@ -39,7 +38,6 @@ __all__ = [
     "fifo_departures",
     "fifo_departures_grouped",
     "round_robin_departures",
-    "safe_block_length",
     "PRIORITY_HIGH",
     "PRIORITY_NORMAL",
     "PRIORITY_LOW",

@@ -4,33 +4,39 @@ The scalar engine dispatches one Python event per arrival and per
 completion — ~2.8 M events/s on the BENCH_PR1 host, which is what kept
 the full-scale (scale ≥ 1 M) cells of ``campaigns/paper.toml`` on the
 fluid twin.  This module is the array core of the ``des-vec`` backend:
-per-instance queue state lives in flat numpy arrays (a *structure of
-arrays*), whole arrival blocks are admitted with fancy-indexed writes,
-and service completions are computed with the Lindley recursion instead
-of one heap round-trip each.
+per-instance state lives in flat numpy arrays (a *structure of
+arrays*) and whole round-robin blocks of arrivals are admitted with a
+handful of vector operations per dispatch round.
 
 The kernel knows nothing about VMs, monitors, or control planes — it is
-plain queueing arithmetic over ``(svc_end, queue, qlen)`` state.  The
-lifecycle/bookkeeping half of the vectorized data plane lives in
-:class:`repro.cloud.vecfleet.VectorFleet`, which calls into this module
-between control-plane epochs; the scalar engine remains the reference
-implementation that ``tests/test_batch_engine.py`` compares against
-bit for bit.
+plain queueing arithmetic.  The lifecycle/bookkeeping half of the
+vectorized data plane lives in :class:`repro.cloud.vecfleet.VectorFleet`,
+which calls into this module between control-plane epochs; the scalar
+engine remains the reference implementation that
+``tests/test_batch_engine.py`` compares against bit for bit.
 
-Exactness invariants (documented in ``docs/performance.md``):
+How :class:`SoAQueues` stays exact (see ``docs/performance.md``):
 
-* **Lindley chaining** — a queued request starts at
-  ``max(previous departure, its arrival)``, so departure times are
-  independent of *when* the kernel materializes them.  Splitting a
-  span at any point and recomputing yields bitwise-identical departures.
-* **Bounded drain waves** — completing the head of every station and
-  promoting its queue head converges in at most ``capacity`` waves,
-  because chained work only comes from the ≤ ``capacity − 1`` deep
-  queue.
-* **Safe block length** — :func:`safe_block_length` bounds a cyclic
-  round-robin block so no station ever exceeds its capacity, which is
-  exactly the condition under which blocked assignment reproduces the
-  scalar balancer's pointer walk (see ``VectorFleet``).
+* **Dispatch-time departures** — a FIFO request departs at
+  ``max(arrival, previous departure) + service`` however long it
+  queues, so its departure is fixed when it is dispatched.  One round
+  of a round-robin block reaches distinct stations, so the round's
+  departures are one vector step across stations.
+* **Verify and cut** — a station is full on an arrival exactly when
+  its departure ``capacity`` places back is later than the arrival.
+  :meth:`SoAQueues.assign` computes a whole block, finds the first
+  arrival that meets a full station and commits only the prefix before
+  it; the caller re-plans the rest.
+* **Pool split** — completion is not a simulation step: admitted
+  requests wait in one pool and each :meth:`SoAQueues.drain` splits it
+  once at the span boundary.
+
+The cumsum/running-max unroll of the Lindley recursion
+(:func:`fifo_departures` and friends) stays out of the data plane: it
+reassociates the float additions and differs from the sequential
+recursion by a few ulps on a large share of departures (17–86 % in
+``docs/performance.md``'s measurements), which would break bit-identity
+with the scalar engine.  It serves the kernel benchmarks.
 """
 
 from __future__ import annotations
@@ -47,12 +53,11 @@ __all__ = [
     "fifo_departures",
     "fifo_departures_grouped",
     "round_robin_departures",
-    "safe_block_length",
 ]
 
-#: A drain wave: (stations, departure_times, arrival_times,
-#: effective_service_times) of the requests completed in the wave.
-Wave = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Pooled or drained requests: (stations, departure_times,
+#: arrival_times, service_times), one element per request.
+Entries = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def fifo_departures(
@@ -154,193 +159,131 @@ def round_robin_departures(
     return dep.T.ravel()[:n]
 
 
-def safe_block_length(occupancies: np.ndarray, capacity: int) -> int:
-    """Longest cyclic round-robin block that cannot overflow any station.
-
-    Station ``q`` (0-based position in the dispatch cycle) receives
-    arrivals ``q, q + n, q + 2n, …`` of the block; with ``occupancies[q]``
-    requests already on board it can take ``capacity − occupancies[q]``
-    more, i.e. the block must stop at or before index
-    ``q + (capacity − occupancies[q])·n``.  The minimum over stations is
-    the longest provably safe block.  Occupancies may only *decrease*
-    during the block (completions), so the bound computed from a
-    snapshot is conservative — and therefore exact for admission: every
-    arrival in the block lands on a station that is not full at its
-    assignment instant.
-    """
-    occ = np.asarray(occupancies)
-    n = occ.size
-    if n == 0:
-        return 0
-    return int(np.min(np.arange(n) + (capacity - occ) * n))
-
-
 class SoAQueues:
-    """Structure-of-arrays state for a set of capacity-bounded stations.
+    """Dispatch-time departure state for a set of capacity-bounded stations.
 
-    Each station is one application instance: a single server with a
-    FIFO queue of at most ``capacity − 1`` waiting requests (the
-    in-service request is the ``capacity``-th).  State per station slot:
+    Each station is one application instance: a single FIFO server
+    holding at most ``capacity`` requests.  A request's departure is
+    fixed the moment it is dispatched, so the state is
 
-    * ``svc_end[i]`` — departure time of the in-service request
-      (``inf`` when idle);
-    * ``cur_arr[i]`` / ``cur_svc[i]`` — arrival and *effective* service
-      time of the in-service request;
-    * ``q_arr[i]`` / ``q_svc[i]`` / ``qlen[i]`` — the waiting queue
-      (service times stored *raw*; divided by ``speed`` at service
-      start, matching the scalar instance's semantics);
-    * ``speed[i]`` — linear service speedup factor.
+    * ``recent[i]`` — the last ``capacity`` departure times of station
+      ``i``, oldest first (``-inf`` where fewer were ever dispatched).
+      Departures of one FIFO station never decrease, so its occupancy
+      at time ``t`` is the number of entries later than ``t`` and it is
+      full exactly when ``recent[i, 0] > t``;
+    * the *pool* — one ``(station, departure, arrival, service)`` entry
+      per admitted request not yet reported by :meth:`drain`.
 
-    Slots are allocated monotonically (:meth:`alloc`) so the slot index
-    doubles as the instance id, identical to the scalar fleet's
-    ``_next_instance_id`` numbering.
+    Slots are allocated monotonically (:meth:`alloc`) and never reused,
+    so the slot index doubles as the instance id, identical to the
+    scalar fleet's ``_next_instance_id`` numbering.
     """
 
-    __slots__ = (
-        "capacity",
-        "svc_end",
-        "cur_arr",
-        "cur_svc",
-        "speed",
-        "qlen",
-        "q_arr",
-        "q_svc",
-        "allocated",
-    )
+    __slots__ = ("capacity", "recent", "allocated", "_pool", "_chunks")
 
     def __init__(self, capacity: int, initial_slots: int = 64) -> None:
         if capacity < 1:
             raise ConfigurationError(f"queue capacity k must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        n = max(int(initial_slots), 1)
-        width = max(self.capacity - 1, 1)
-        self.svc_end = np.full(n, np.inf)
-        self.cur_arr = np.zeros(n)
-        self.cur_svc = np.zeros(n)
-        self.speed = np.ones(n)
-        self.qlen = np.zeros(n, dtype=np.intp)
-        self.q_arr = np.zeros((n, width))
-        self.q_svc = np.zeros((n, width))
+        self.recent = np.full((max(int(initial_slots), 1), self.capacity), -np.inf)
         self.allocated = 0
+        self._pool: Entries = (
+            np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0)
+        )
+        self._chunks: List[Entries] = []
 
-    # ------------------------------------------------------------------
-    # slot management
-    # ------------------------------------------------------------------
     def alloc(self) -> int:
         """Allocate a fresh idle slot; returns its index."""
         idx = self.allocated
-        if idx >= self.svc_end.size:
-            self._grow()
-        self.svc_end[idx] = np.inf
-        self.qlen[idx] = 0
-        self.speed[idx] = 1.0
+        if idx >= self.recent.shape[0]:
+            grown = np.full_like(self.recent, -np.inf)
+            self.recent = np.concatenate((self.recent, grown))
         self.allocated = idx + 1
         return idx
 
-    def _grow(self) -> None:
-        n = self.svc_end.size
-        self.svc_end = np.concatenate((self.svc_end, np.full(n, np.inf)))
-        self.cur_arr = np.concatenate((self.cur_arr, np.zeros(n)))
-        self.cur_svc = np.concatenate((self.cur_svc, np.zeros(n)))
-        self.speed = np.concatenate((self.speed, np.ones(n)))
-        self.qlen = np.concatenate((self.qlen, np.zeros(n, dtype=np.intp)))
-        width = self.q_arr.shape[1]
-        self.q_arr = np.concatenate((self.q_arr, np.zeros((n, width))))
-        self.q_svc = np.concatenate((self.q_svc, np.zeros((n, width))))
+    def pool(self) -> Entries:
+        """Every admitted request not yet drained, as one entry tuple."""
+        if self._chunks:
+            parts = [self._pool, *self._chunks]
+            self._pool = tuple(np.concatenate(col) for col in zip(*parts))
+            self._chunks = []
+        return self._pool
 
-    def clear(self, idx: int) -> int:
-        """Reset one slot to idle; returns the occupancy it released."""
-        released = int(self.qlen[idx]) + int(self.svc_end[idx] != np.inf)
-        self.svc_end[idx] = np.inf
-        self.qlen[idx] = 0
-        return released
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def occupancy(self, stations: np.ndarray) -> np.ndarray:
-        """Requests on board (in service + queued) per station."""
-        return self.qlen[stations] + (self.svc_end[stations] != np.inf)
-
-    def next_completion(self, stations: np.ndarray) -> float:
-        """Earliest in-service departure among ``stations`` (inf if idle)."""
-        if len(stations) == 0:
-            return math.inf
-        return float(self.svc_end[stations].min())
-
-    # ------------------------------------------------------------------
-    # hot-path kernels
-    # ------------------------------------------------------------------
     def assign(
-        self, stations: np.ndarray, arrivals: np.ndarray, services: np.ndarray
-    ) -> None:
-        """One dispatch round: station ``i`` accepts request ``i``.
+        self,
+        stations: np.ndarray,
+        arrivals: np.ndarray,
+        services: np.ndarray,
+        width: int,
+    ) -> int:
+        """Admit the longest prefix of a round-robin block; returns its length.
 
-        ``stations`` must be distinct, non-full slots; ``services`` are
-        raw draws (speed division happens at service start).  Idle
-        stations start serving immediately; busy ones append to their
-        queue with two fancy-indexed writes.
+        Request ``i`` goes to ``stations[i]``, a cyclic repetition of
+        ``width`` distinct stations, so the block is a sequence of
+        dispatch rounds.  Each round fixes its departures with one
+        vector Lindley step across stations,
+        ``dep = max(arrival, previous departure) + service`` — the
+        scalar instance's arithmetic, operation for operation.  The
+        block is then cut at the first request whose station is full on
+        arrival, i.e. whose departure ``capacity`` places back is later
+        than the arrival: the scalar balancer would skip that station.
+        Only the prefix before the cut is committed to the pool and to
+        ``recent``.
         """
-        busy = self.svc_end[stations] != np.inf
-        idle_t = stations[~busy]
-        if idle_t.size:
-            arr = arrivals[~busy]
-            eff = services[~busy] / self.speed[idle_t]
-            self.cur_arr[idle_t] = arr
-            self.cur_svc[idle_t] = eff
-            self.svc_end[idle_t] = arr + eff
-        busy_t = stations[busy]
-        if busy_t.size:
-            slot = self.qlen[busy_t]
-            if int(slot.max()) >= self.capacity - 1:
-                raise ConfigurationError(
-                    "assign() would overflow a full station; "
-                    "cap blocks with safe_block_length()"
-                )
-            self.q_arr[busy_t, slot] = arrivals[busy]
-            self.q_svc[busy_t, slot] = services[busy]
-            self.qlen[busy_t] = slot + 1
+        k = self.capacity
+        n = len(arrivals)
+        width = min(width, n)
+        head = stations[:width]
+        # Flat history, ``width`` lanes per round: the k rounds of
+        # ``recent`` then the block's departures, so ``hist[i]`` is
+        # request i's departure k places back on its own station.
+        hist = np.empty((k + -(-n // width)) * width)
+        hist[: k * width] = self.recent[head].T.ravel()
+        prev = hist[(k - 1) * width : k * width]
+        for lo in range(0, n, width):
+            a = arrivals[lo : lo + width]
+            row = hist[k * width + lo : k * width + lo + a.size]
+            np.maximum(a, prev[: a.size], out=row)
+            row += services[lo : lo + a.size]
+            prev = row
+        full = hist[:n] > arrivals
+        cut = int(full.argmax())
+        if not full[cut]:
+            cut = n
+        if cut:
+            dep = hist[k * width : k * width + cut]
+            self._chunks.append((stations[:cut], dep, arrivals[:cut], services[:cut]))
+            rounds, extra = divmod(cut, width)
+            lanes = hist.reshape(-1, width)
+            if extra:
+                self.recent[head[:extra]] = lanes[rounds + 1 : rounds + 1 + k, :extra].T
+            self.recent[head[extra:]] = lanes[rounds : rounds + k, extra:].T
+        return cut
 
-    def drain(self, stations: np.ndarray, t: float, strict: bool = False) -> List[Wave]:
-        """Complete everything due by ``t`` across ``stations``.
+    def drain(self, t: float, strict: bool = False) -> List[Entries]:
+        """Split off every pooled request departing by ``t``.
 
-        Repeats waves of "finish the in-service request, promote the
-        queue head" until nothing is due; a promoted request starts at
-        ``max(completion, its arrival)`` (Lindley), so results do not
-        depend on how often the caller drains.  ``strict`` excludes
-        completions at exactly ``t`` — used at control-plane epochs,
-        where the scalar engine fires same-instant completions *after*
-        the high-priority control event.
-
-        Returns the waves; the caller flattens and sorts them for
-        deterministic downstream accounting.
+        ``strict`` excludes departures at exactly ``t`` — used at
+        control-plane epochs, where the scalar engine fires same-instant
+        completions *after* the high-priority control event.  Returns a
+        list holding the one ``(stations, departures, arrivals,
+        services)`` tuple of completions in departure order, or an
+        empty list.  The pool keeps arrival order among equal
+        departures (chunks are appended in dispatch order and the sort
+        is stable), so ties resolve by arrival time.
         """
-        waves: List[Wave] = []
-        while True:
-            ends = self.svc_end[stations]
-            due = (ends < t) if strict else (ends <= t)
-            if not due.any():
-                return waves
-            done = stations[due]
-            dep = ends[due]
-            waves.append((done, dep, self.cur_arr[done], self.cur_svc[done]))
-            queued = self.qlen[done] > 0
-            nxt = done[queued]
-            if nxt.size:
-                head_arr = self.q_arr[nxt, 0]
-                head_svc = self.q_svc[nxt, 0] / self.speed[nxt]
-                self.cur_arr[nxt] = head_arr
-                self.cur_svc[nxt] = head_svc
-                self.svc_end[nxt] = np.maximum(dep[queued], head_arr) + head_svc
-                self.q_arr[nxt, :-1] = self.q_arr[nxt, 1:]
-                self.q_svc[nxt, :-1] = self.q_svc[nxt, 1:]
-                self.qlen[nxt] -= 1
-            idle = done[~queued]
-            if idle.size:
-                self.svc_end[idle] = np.inf
+        pool = self.pool()
+        order = np.argsort(pool[1], kind="stable")
+        pool = tuple(col[order] for col in pool)
+        cut = int(np.searchsorted(pool[1], t, side="left" if strict else "right"))
+        self._pool = tuple(col[cut:] for col in pool)
+        return [tuple(col[:cut] for col in pool)] if cut else []
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<SoAQueues k={self.capacity} slots={self.allocated}/"
-            f"{self.svc_end.size}>"
-        )
+    def evict(self, idx: int) -> int:
+        """Drop station ``idx``'s pooled requests; returns how many."""
+        st, dep, arr, svc = self.pool()
+        keep = st != idx
+        lost = int(st.size - np.count_nonzero(keep))
+        if lost:
+            self._pool = (st[keep], dep[keep], arr[keep], svc[keep])
+        return lost
