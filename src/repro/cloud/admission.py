@@ -34,7 +34,9 @@ class AdmissionControl:
     fleet:
         The application fleet requests are dispatched into.
     monitor:
-        Monitoring sink (records arrivals and rejections).
+        Monitoring sink.  Arrivals go to it (for rate sampling);
+        acceptances and rejections are recorded on its
+        :attr:`~repro.cloud.monitor.Monitor.metrics` collector.
     count_arrivals:
         When true, every arrival is also reported to the monitor's
         rate sampler (needed by reactive predictors; costs one method
@@ -49,7 +51,15 @@ class AdmissionControl:
         the hot path is exactly the untraced code.
     """
 
-    __slots__ = ("_fleet", "_monitor", "_count_arrivals", "_tracer", "_accepting")
+    __slots__ = (
+        "_fleet",
+        "_monitor",
+        "_count_arrivals",
+        "_tracer",
+        "_accepting",
+        "_record_acceptance",
+        "_record_rejection",
+    )
 
     def __init__(
         self,
@@ -63,6 +73,10 @@ class AdmissionControl:
         self._count_arrivals = bool(count_arrivals)
         self._tracer = tracer
         self._accepting: Optional[bool] = None
+        # Counts go straight to the run's collector: one call per
+        # request instead of a hop through the monitor.
+        self._record_acceptance = monitor.metrics.record_acceptance
+        self._record_rejection = monitor.metrics.record_rejection
 
     def submit(self, arrival_time: float) -> bool:
         """Admit (and dispatch) or reject one request.
@@ -81,7 +95,7 @@ class AdmissionControl:
                 "request.admitted" if accepted else "request.rejected", arrival_time
             )
         if accepted:
-            self._monitor.record_acceptance()
+            self._record_acceptance()
             return True
-        self._monitor.record_rejection()
+        self._record_rejection()
         return False

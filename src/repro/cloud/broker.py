@@ -9,11 +9,14 @@ list small even for the multi-million-request web scenario.
 
 Arrival dispatch is *batched*: a window's timestamps are sampled as one
 numpy block, horizon-clipped vectorized, and walked by a single rolling
-cursor event instead of one ``schedule()`` per request.  At the web
-peak a 60-s window holds tens of thousands of arrivals; the cursor
-keeps all but the next one out of the heap, so heap pushes operate on a
-list of in-flight completions (hundreds) rather than a full window —
-an O(log n) win per event on exactly the hottest path.
+cursor instead of one ``schedule()`` per request.  The cursor holds at
+most one heap entry, and it skips even that while the next arrival is
+strictly earlier than every pending event: it then submits the arrival
+in place through :meth:`~repro.sim.engine.Engine.advance_inline`, which
+moves the clock and counts the arrival as a fired event.  Each arrival
+is still one engine event and fires at the same place in
+``(time, priority, seq)`` order.  On the web day at scale 200 about
+half of the arrivals never touch the heap.
 """
 
 from __future__ import annotations
@@ -35,10 +38,12 @@ __all__ = ["WorkloadSource"]
 class _ArrivalCursor:
     """Rolling dispatcher over one window's sorted arrival batch.
 
-    One reusable callable walks the batch: each firing submits the
-    arrival at the current index and schedules itself at the next
-    timestamp.  Only a single heap entry exists per window at any time,
-    and no per-arrival closure is allocated.
+    One reusable callable walks the batch.  Each firing submits the
+    arrival at the current index, then keeps submitting the following
+    ones for as long as the engine lets them fire in place (strictly
+    before the next pending event, within the run's horizon).  The
+    first arrival that is not due first goes back to the heap as the
+    cursor's single entry.  No per-arrival closure is allocated.
     """
 
     __slots__ = ("_engine", "_admission", "_times", "_idx", "_pending")
@@ -78,13 +83,18 @@ class _ArrivalCursor:
 
     def __call__(self) -> None:
         engine = self._engine
-        self._admission.submit(engine.now)
-        idx = self._idx = self._idx + 1
+        submit = self._admission.submit
+        advance = engine.advance_inline
         times = self._times
-        if idx < len(times):
-            self._pending = engine.schedule_at(times[idx], self)
-        else:
-            self._pending = None
+        end = len(times)
+        idx = self._idx
+        submit(engine.now)
+        idx += 1
+        while idx < end and advance(times[idx]):
+            submit(times[idx])
+            idx += 1
+        self._idx = idx
+        self._pending = engine.schedule_at(times[idx], self) if idx < end else None
 
 
 class WorkloadSource:
@@ -109,7 +119,7 @@ class WorkloadSource:
         object with ``load(times: np.ndarray)``.  The vectorized
         backend passes its :class:`~repro.cloud.vecfleet.VectorFleet`
         here, which buffers whole windows for the batched data plane
-        instead of dispatching one engine event per arrival.  Exactly
+        instead of firing one engine event per arrival.  Exactly
         one of ``admission`` / ``sink`` must be provided.
 
     Notes

@@ -15,8 +15,13 @@ the provisioner may *revive* it back to ACTIVE if load returns before
 it empties — exactly the paper's "removes them from the list of
 instances to be destroyed".
 
-This class sits on the DES hot path; it stores arrival timestamps as
-plain floats in a ``deque`` and uses ``__slots__``.
+This class sits on the DES hot path.  It uses ``__slots__``, keeps the
+occupancy as a plain integer slot that ``accept``/``_complete``/``crash``
+update (so ``is_full`` is one integer compare), queues waiting arrival
+timestamps as plain floats in a ``deque``, and holds the in-service
+request's arrival and service times in two slots, so a completion
+schedules one bound method created with the instance rather than a
+closure per request.
 """
 
 from __future__ import annotations
@@ -71,12 +76,15 @@ class AppInstance:
         "state",
         "busy_seconds",
         "served",
+        "occupancy",
         "_engine",
         "_sampler",
         "_monitor",
         "_on_drained",
         "_queue",
-        "_in_service",
+        "_arrival",
+        "_service",
+        "_complete_cb",
         "_pending",
         "speed",
     )
@@ -99,12 +107,19 @@ class AppInstance:
         self.state = InstanceState.BOOTING
         self.busy_seconds = 0.0
         self.served = 0
+        #: Requests currently present (waiting + in service).
+        self.occupancy = 0
         self._engine = engine
         self._sampler = sampler
         self._monitor = monitor
         self._on_drained = on_drained
+        #: Arrival times of the waiting requests (the one in service
+        #: is not in it).
         self._queue: deque = deque()
-        self._in_service = False
+        #: Arrival and service time of the request in service.
+        self._arrival = 0.0
+        self._service = 0.0
+        self._complete_cb = self._complete
         self._pending = None  # completion-event handle, for crash cancellation
         #: Service-speed multiplier (vertical scaling): a request's
         #: service time is the sampled base time divided by ``speed``.
@@ -115,19 +130,14 @@ class AppInstance:
     # state inspection (hot path uses these constantly)
     # ------------------------------------------------------------------
     @property
-    def occupancy(self) -> int:
-        """Requests currently present (waiting + in service)."""
-        return len(self._queue) + (1 if self._in_service else 0)
-
-    @property
     def is_full(self) -> bool:
         """Whether admission must not offer another request."""
-        return len(self._queue) + (1 if self._in_service else 0) >= self.capacity
+        return self.occupancy >= self.capacity
 
     @property
     def is_idle(self) -> bool:
         """Whether the instance holds no requests at all."""
-        return not self._in_service and not self._queue
+        return self.occupancy == 0
 
     @property
     def accepting(self) -> bool:
@@ -168,7 +178,7 @@ class AppInstance:
         if self._pending is not None:
             self._engine.discard(self._pending)
             self._pending = None
-        self._in_service = False
+        self.occupancy = 0
         self._queue.clear()
         self.state = InstanceState.DESTROYED
         return lost
@@ -183,31 +193,30 @@ class AppInstance:
         ``self.accepting``; violating that is a programming error and
         raises immediately rather than corrupting the queue invariant.
         """
-        if self.is_full or self.state is not InstanceState.ACTIVE:
+        occupancy = self.occupancy
+        if occupancy >= self.capacity or self.state is not InstanceState.ACTIVE:
             raise RuntimeError(
                 f"instance {self.instance_id} offered a request while "
-                f"{'full' if self.is_full else self.state.name}"
+                f"{'full' if occupancy >= self.capacity else self.state.name}"
             )
-        if self._in_service:
+        self.occupancy = occupancy + 1
+        if occupancy:
             self._queue.append(arrival_time)
         else:
             self._start_service(arrival_time)
 
     def _start_service(self, arrival_time: float) -> None:
-        self._in_service = True
-        service_time = self._sampler.draw() / self.speed
-        self._pending = self._engine.schedule(
-            service_time,
-            lambda: self._complete(arrival_time, service_time),
-        )
+        self._arrival = arrival_time
+        self._service = service_time = self._sampler.draw() / self.speed
+        self._pending = self._engine.schedule(service_time, self._complete_cb)
 
-    def _complete(self, arrival_time: float, service_time: float) -> None:
-        now = self._engine.now
+    def _complete(self) -> None:
+        service_time = self._service
         self.busy_seconds += service_time
         self.served += 1
-        self._in_service = False
+        self.occupancy -= 1
         self._pending = None
-        self._monitor.record_response(now - arrival_time, service_time)
+        self._monitor.record_response(self._engine.now - self._arrival, service_time)
         if self._queue:
             self._start_service(self._queue.popleft())
         elif self.state is InstanceState.DRAINING:

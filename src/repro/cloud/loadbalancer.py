@@ -68,13 +68,15 @@ class RoundRobinBalancer(LoadBalancer):
         n = len(active)
         if n == 0:
             return None
-        start = self._next % n
-        for i in range(n):
-            inst = active[start + i - n if start + i >= n else start + i]
-            if not inst.is_full:
-                self._next = (start + i + 1) % n
+        i = start = self._next % n
+        while True:
+            inst = active[i]
+            i = i + 1 if i + 1 < n else 0
+            if inst.occupancy < inst.capacity:
+                self._next = i
                 return inst
-        return None
+            if i == start:
+                return None
 
     def notify_membership_change(self, active_count: int) -> None:
         if active_count > 0:

@@ -5,8 +5,11 @@ for each application instance ... via regular monitoring tools or by
 Cloud monitoring services such as Amazon CloudWatch" (paper §IV-B).
 :class:`Monitor` is that service:
 
-* it is the single sink for request completions/rejections (forwarding
-  them to the run's :class:`~repro.metrics.collector.MetricsCollector`),
+* it is the sink for request completions (forwarding them to the run's
+  :class:`~repro.metrics.collector.MetricsCollector`); admission
+  control records acceptances and rejections on that collector
+  directly (:attr:`Monitor.metrics`), one call per request instead of
+  two,
 * it keeps an exponentially-weighted estimate of the mean request
   service time ``T_m`` — the monitored quantity Algorithm 1 consumes,
 * it optionally samples the observed arrival rate on a fixed cadence,
@@ -101,6 +104,11 @@ class Monitor:
                 )
             engine.schedule(rate_sample_interval, self._sample_rate, PRIORITY_LOW)
 
+    @property
+    def metrics(self) -> MetricsCollector:
+        """The run's metric accumulator this monitor forwards to."""
+        return self._metrics
+
     # ------------------------------------------------------------------
     # hot-path sinks
     # ------------------------------------------------------------------
@@ -123,11 +131,11 @@ class Monitor:
             )
 
     def record_acceptance(self) -> None:
-        """Observe one admitted request (called by admission control)."""
+        """Observe one admitted request (called by the priority/SLA gates)."""
         self._metrics.record_acceptance()
 
     def record_rejection(self) -> None:
-        """Observe one rejected request (called by admission control)."""
+        """Observe one rejected request (called by the priority/SLA gates)."""
         self._metrics.record_rejection()
 
     def record_arrival(self) -> None:

@@ -71,6 +71,11 @@ class Engine:
         self._running = False
         self._finished = False
         self._events_fired = 0
+        #: Arrivals fired in place by :meth:`advance_inline`.
+        self._inline_fired = 0
+        #: Latest time :meth:`advance_inline` may move the clock to:
+        #: the horizon of the running :meth:`run`, ``-inf`` otherwise.
+        self._inline_until = -math.inf
         self._cancelled = 0
         #: Number of heap compactions performed (observability).
         self.compactions = 0
@@ -93,11 +98,13 @@ class Engine:
     def events_fired(self) -> int:
         """Number of events executed so far (cancelled events excluded).
 
-        Updated *before* each callback fires, so a callback observing
-        the counter sees itself included — identically under
+        Includes the arrivals fired in place through
+        :meth:`advance_inline`: each is one event that skipped the
+        heap.  Updated *before* each callback fires, so a callback
+        observing the counter sees itself included — identically under
         :meth:`run` and :meth:`step`.
         """
-        return self._events_fired
+        return self._events_fired + self._inline_fired
 
     @property
     def pending(self) -> int:
@@ -218,6 +225,31 @@ class Engine:
                 remaining=len(heap),
             )
 
+    def advance_inline(self, when: float) -> bool:
+        """Fire an event at ``when`` in place if it would pop next anyway.
+
+        Called from inside a running callback that is about to
+        schedule itself again at ``when`` (the broker's arrival
+        cursor).  When ``when`` is strictly earlier than the head of
+        the future-event list and no later than the horizon of the
+        current :meth:`run`, that entry would be the very next one
+        popped, so pushing and popping it would change nothing: the
+        clock moves to ``when``, the event is counted, and ``True``
+        tells the caller to run its work now.  A tie with the head
+        returns ``False`` and leaves ``(time, priority, seq)`` order to
+        the heap, as does any call outside :meth:`run`, so
+        :meth:`step` still fires exactly one event.  A time in the past
+        (or NaN) also returns ``False``, so the caller's
+        :meth:`schedule_at` raises as it would have without this
+        shortcut.
+        """
+        heap = self._heap
+        if not self._now <= when <= self._inline_until or (heap and heap[0][0] <= when):
+            return False
+        self._now = when
+        self._inline_fired += 1
+        return True
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -272,6 +304,7 @@ class Engine:
         heap = self._heap
         pop = _heappop
         horizon = math.inf if until is None else float(until)
+        self._inline_until = horizon
         fired = self._events_fired
         try:
             while heap:
@@ -291,6 +324,7 @@ class Engine:
             if until is not None and self._now < horizon:
                 self._now = horizon
         finally:
+            self._inline_until = -math.inf
             self._running = False
             self._finished = True
         for hook in self.at_end:
@@ -322,5 +356,5 @@ class Engine:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Engine t={self._now:.6g} pending={len(self._heap)} "
-            f"fired={self._events_fired}>"
+            f"fired={self.events_fired}>"
         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 
@@ -42,7 +42,9 @@ class ServiceTimeSampler:
     ``base · (1 + U(0, jitter))`` with ``jitter = 0.10``.  Drawing one
     uniform variate per request through numpy's scalar API costs ~1 µs;
     pre-sampling blocks of 4096 amortizes that to ~20 ns, which matters
-    because this sits on the DES hot path.
+    because this sits on the DES hot path.  Each block is kept as a list
+    of plain floats, so a draw is a list index with no numpy scalar to
+    convert.
 
     Parameters
     ----------
@@ -73,7 +75,7 @@ class ServiceTimeSampler:
         self.base = float(base)
         self.jitter = float(jitter)
         self._block = int(block)
-        self._buf = np.empty(0)
+        self._buf: List[float] = []
         self._idx = 0
 
     @property
@@ -83,17 +85,15 @@ class ServiceTimeSampler:
 
     def draw(self) -> float:
         """One service-time sample."""
-        if self._idx >= self._buf.shape[0]:
-            self._buf = self.base * (
-                1.0 + self._rng.uniform(0.0, self.jitter, size=self._block)
-            )
-            self._idx = 0
-        v = self._buf[self._idx]
-        self._idx += 1
-        return float(v)
+        idx = self._idx
+        if idx >= len(self._buf):
+            self._buf = self.draw_many(self._block).tolist()
+            idx = 0
+        self._idx = idx + 1
+        return self._buf[idx]
 
     def draw_many(self, n: int) -> np.ndarray:
-        """Vectorized variant used by the fluid engine and tests."""
+        """``n`` samples at once; :meth:`draw` refills its block with it."""
         return self.base * (1.0 + self._rng.uniform(0.0, self.jitter, size=int(n)))
 
 

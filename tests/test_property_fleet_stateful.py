@@ -6,7 +6,8 @@ instance crashes, and checks the conservation laws that every other
 test relies on implicitly:
 
 * fleet census == data-center census;
-* per-instance occupancy never exceeds the admission capacity ``k``;
+* per-instance occupancy never exceeds the admission capacity ``k``,
+  and the occupancy counter matches the requests the instance holds;
 * request conservation: accepted = completed + in-flight + crash-lost;
 * the busy-time ledger never exceeds provisioned VM time.
 """
@@ -68,6 +69,12 @@ class FleetMachine(RuleBasedStateMachine):
         for inst in self.env.fleet.live_instances:
             assert 0 <= inst.occupancy <= inst.capacity
             assert inst.state is not InstanceState.DESTROYED
+            # The occupancy counter never drifts from the requests the
+            # instance really holds: the waiting queue plus the one
+            # whose completion is pending.
+            assert inst.occupancy == len(inst._queue) + (inst._pending is not None)
+            assert inst.is_idle == (inst.occupancy == 0)
+            assert inst.is_full == (inst.occupancy == inst.capacity)
 
     @invariant()
     def request_conservation(self):
