@@ -33,7 +33,6 @@ from .core import (
     QoSTarget,
     SimulationContext,
     StaticPolicy,
-    VerticalScalingPolicy,
     WorkloadAnalyzer,
 )
 from .experiments import (
@@ -67,7 +66,6 @@ __all__ = [
     "ProvisioningPolicy",
     "AdaptivePolicy",
     "StaticPolicy",
-    "VerticalScalingPolicy",
     "SimulationContext",
     # simulation
     "Engine",

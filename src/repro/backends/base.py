@@ -67,8 +67,9 @@ class RunMetrics:
     vm_hours:
         Σ instance wall-clock lifetime in hours (Figure 5(c)/6(c)).
     core_hours:
-        Σ allocated cores × wall-clock hours; equals ``vm_hours`` for
-        one-core fleets.
+        Σ VM-spec cores × wall-clock hours — the unit capacity is
+        priced in (``repro.economy``); equals ``vm_hours`` for the
+        paper's one-core VMs.
     failures, lost_requests:
         Failure-injection accounting (0 without an injector; always 0
         on the fluid backend).

@@ -28,10 +28,6 @@ point, run the same command again, and only the missing cells execute.
 Each cell's lease is released the moment its artifact (or failure
 record) lands, so cooperating workers see progress at cell - not
 campaign - granularity.
-
-For backwards compatibility this module still re-exports the public
-campaign API (``run_campaign``, ``CampaignResult``, ``CellOutcome``)
-from the scheduler via module ``__getattr__``.
 """
 
 from __future__ import annotations
@@ -48,26 +44,7 @@ from .store import ResultStore
 
 _log = get_logger(__name__)
 
-__all__ = [
-    "CellOutcome",
-    "CampaignResult",
-    "prescreen_cells",
-    "run_campaign",
-    "run_group",
-]
-
-# Names that moved to the scheduler in the lease refactor; forwarded
-# lazily (PEP 562) so `import repro.campaigns.executor` keeps working
-# without a circular module-top import (scheduler imports this module).
-_FORWARDED = ("run_campaign", "CampaignResult", "CellOutcome", "_STATUSES")
-
-
-def __getattr__(name: str):
-    if name in _FORWARDED:
-        from . import scheduler
-
-        return getattr(scheduler, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["prescreen_cells", "run_group"]
 
 
 def prescreen_cells(

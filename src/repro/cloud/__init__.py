@@ -24,7 +24,6 @@ from .admission import AdmissionControl
 from .broker import WorkloadSource
 from .datacenter import Datacenter
 from .failures import FailureInjector
-from .federation import CloudFederation
 from .fleet import ApplicationFleet
 from .host import Host
 from .instance import AppInstance, InstanceState
@@ -35,8 +34,6 @@ from .loadbalancer import (
     RoundRobinBalancer,
 )
 from .monitor import Monitor
-from .multitier import MultiTierDeployment, TierForwarder, TierSpec
-from .priority import HIGH, LOW, PriorityAdmissionControl, PriorityClassStats
 from .placement import (
     FirstFitPlacement,
     LeastLoadedPlacement,
@@ -49,7 +46,6 @@ from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec, VMState
 
 __all__ = [
     "Datacenter",
-    "CloudFederation",
     "Host",
     "VirtualMachine",
     "VMSpec",
@@ -61,18 +57,11 @@ __all__ = [
     "VectorFleet",
     "AdmissionControl",
     "FailureInjector",
-    "PriorityAdmissionControl",
-    "PriorityClassStats",
-    "HIGH",
-    "LOW",
     "LoadBalancer",
     "RoundRobinBalancer",
     "LeastConnectionsBalancer",
     "RandomBalancer",
     "Monitor",
-    "MultiTierDeployment",
-    "TierSpec",
-    "TierForwarder",
     "WorkloadSource",
     "PlacementPolicy",
     "LeastLoadedPlacement",

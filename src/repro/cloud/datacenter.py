@@ -121,25 +121,6 @@ class Datacenter:
         self._vm_seconds_closed += vm.lifetime(now)
         self._core_seconds_closed += vm.core_seconds(now)
 
-    def resize_vm(self, vm: VirtualMachine, new_cores: int, now: float) -> bool:
-        """Vertically scale a live VM to ``new_cores`` cores.
-
-        Returns ``False`` (leaving the VM unchanged) when the host
-        cannot satisfy a growth request — the vertical-scaling policy's
-        analogue of a placement refusal.
-        """
-        if vm.vm_id not in self._vms:
-            raise PlacementError(f"VM {vm.vm_id} is not live in {self.name}")
-        if new_cores == vm.allocated_cores:
-            return True
-        host = self.hosts[vm.host_id]
-        if not host.can_resize(vm, new_cores):
-            return False
-        host.apply_resize(vm, new_cores)
-        vm.record_resize(new_cores, now)
-        self.placement.notify_detach(host)  # its load ranking changed
-        return True
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
@@ -157,9 +138,9 @@ class Datacenter:
         return self.vm_seconds(now) / 3600.0
 
     def core_seconds(self, now: float) -> float:
-        """Total core × wall-clock seconds accrued (vertical-scaling cost).
+        """Total core × wall-clock seconds accrued so far.
 
-        Equals :meth:`vm_seconds` when every VM keeps its 1-core spec.
+        Equals :meth:`vm_seconds` when every VM has the 1-core spec.
         """
         live = sum(vm.core_seconds(now) for vm in self._vms.values())
         return self._core_seconds_closed + live

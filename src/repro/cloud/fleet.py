@@ -178,7 +178,6 @@ class ApplicationFleet:
         return self.serving_count
 
     def _grow(self, count: int) -> None:
-        now = self._engine.now
         # 1. Revive draining instances (most recently drained first —
         #    they are the least drained and retain the most capacity).
         while count > 0 and self._draining:
@@ -188,22 +187,22 @@ class ApplicationFleet:
             count -= 1
         # 2. Create fresh VMs.
         while count > 0:
-            if self._create_instance(self.vm_spec) is None:
+            if not self._create_instance():
                 break  # quota/capacity reached; serve with what we have
             count -= 1
         self._after_membership_change()
 
-    def _create_instance(self, spec: VMSpec):
-        """Place one VM of ``spec`` and wrap it in an instance.
+    def _create_instance(self) -> bool:
+        """Place one VM of the fleet's class and wrap it in an instance.
 
-        Returns ``None`` when the data center refuses placement.
+        Returns ``False`` when the data center refuses placement.
         Callers are responsible for :meth:`_after_membership_change`.
         """
         now = self._engine.now
         try:
-            vm = self._datacenter.create_vm(now, spec)
+            vm = self._datacenter.create_vm(now, self.vm_spec)
         except PlacementError:
-            return None
+            return False
         inst = AppInstance(
             self._next_instance_id,
             vm,
@@ -222,40 +221,7 @@ class ApplicationFleet:
             inst.activate()
             self._active.append(inst)
         self._emit_vm("vm.created", inst, booting=self.boot_delay > 0.0)
-        return inst
-
-    def grow_with_spec(self, spec: VMSpec):
-        """Add one instance backed by an arbitrary VM class.
-
-        Used by heterogeneous-fleet policies (§IV-B future work); the
-        caller may adjust the returned instance's ``speed`` and
-        ``capacity`` to reflect the class.  Returns ``None`` when no
-        host can fit the spec.
-        """
-        inst = self._create_instance(spec)
-        if inst is not None:
-            self._after_membership_change()
-        return inst
-
-    def scale_down_instance(self, inst: AppInstance) -> None:
-        """Retire one specific instance (idle → destroy, busy → drain)."""
-        now = self._engine.now
-        if inst in self._booting:
-            self._booting.remove(inst)
-            inst.mark_destroyed()
-            self._datacenter.destroy_vm(inst.vm, now)
-            self._emit_vm("vm.destroyed", inst, reason="cancelled")
-        elif inst in self._active:
-            self._active.remove(inst)
-            if inst.is_idle:
-                inst.mark_destroyed()
-                self._datacenter.destroy_vm(inst.vm, now)
-                self._emit_vm("vm.destroyed", inst, reason="idle")
-            else:
-                self._draining.append(inst)
-                self._emit_vm("vm.draining", inst)
-                inst.drain()
-        self._after_membership_change()
+        return True
 
     def _boot_done(self, inst: AppInstance) -> None:
         if inst.state is not InstanceState.BOOTING:
@@ -299,20 +265,6 @@ class ApplicationFleet:
             self._emit_vm("vm.draining", inst)
             inst.drain()  # may call _on_drained synchronously if idle
         self._after_membership_change()
-
-    def set_speed(self, inst: AppInstance, speed: int) -> bool:
-        """Vertically scale one instance to ``speed`` cores.
-
-        Linear-speedup model: an instance pinned to ``speed`` cores
-        serves requests ``speed``× faster (subsequent service starts
-        only).  Returns ``False`` when the host cannot grow the VM.
-        """
-        if speed < 1:
-            raise ConfigurationError(f"speed must be >= 1, got {speed}")
-        if not self._datacenter.resize_vm(inst.vm, int(speed), self._engine.now):
-            return False
-        inst.speed = float(speed)
-        return True
 
     def kill(self, inst: AppInstance, reason: str = "crashed") -> int:
         """Crash ``inst`` (failure/revocation injection); returns requests lost.

@@ -67,7 +67,7 @@ class Host:
             )
         if vm.vm_id in self._vms:
             raise CapacityError(f"VM {vm.vm_id} already attached to host {self.host_id}")
-        self.free_cores -= vm.allocated_cores
+        self.free_cores -= vm.spec.cores
         self.free_ram_mb -= vm.spec.ram_mb
         self._vms[vm.vm_id] = vm
 
@@ -75,31 +75,8 @@ class Host:
         """Release the resources of ``vm`` (called on VM destruction)."""
         if self._vms.pop(vm.vm_id, None) is None:
             raise CapacityError(f"VM {vm.vm_id} is not attached to host {self.host_id}")
-        self.free_cores += vm.allocated_cores
+        self.free_cores += vm.spec.cores
         self.free_ram_mb += vm.spec.ram_mb
-
-    def can_resize(self, vm: VirtualMachine, new_cores: int) -> bool:
-        """Whether ``vm`` can grow/shrink to ``new_cores`` on this host."""
-        if vm.vm_id not in self._vms:
-            return False
-        return self.free_cores >= new_cores - vm.allocated_cores
-
-    def apply_resize(self, vm: VirtualMachine, new_cores: int) -> None:
-        """Adjust the core reservation of an attached VM.
-
-        The caller (the data center) is responsible for updating the
-        VM's own ledger via
-        :meth:`~repro.cloud.vm.VirtualMachine.record_resize`.
-        """
-        if vm.vm_id not in self._vms:
-            raise CapacityError(f"VM {vm.vm_id} is not attached to host {self.host_id}")
-        delta = new_cores - vm.allocated_cores
-        if delta > self.free_cores:
-            raise CapacityError(
-                f"host {self.host_id} cannot grow VM {vm.vm_id} by {delta} cores "
-                f"(free={self.free_cores})"
-            )
-        self.free_cores -= delta
 
     def utilization(self) -> float:
         """Fraction of cores currently allocated to VMs."""

@@ -86,7 +86,6 @@ class AppInstance:
         "_service",
         "_complete_cb",
         "_pending",
-        "speed",
     )
 
     def __init__(
@@ -121,10 +120,6 @@ class AppInstance:
         self._service = 0.0
         self._complete_cb = self._complete
         self._pending = None  # completion-event handle, for crash cancellation
-        #: Service-speed multiplier (vertical scaling): a request's
-        #: service time is the sampled base time divided by ``speed``.
-        #: Changing it affects services that start afterwards.
-        self.speed = 1.0
 
     # ------------------------------------------------------------------
     # state inspection (hot path uses these constantly)
@@ -207,7 +202,7 @@ class AppInstance:
 
     def _start_service(self, arrival_time: float) -> None:
         self._arrival = arrival_time
-        self._service = service_time = self._sampler.draw() / self.speed
+        self._service = service_time = self._sampler.draw()
         self._pending = self._engine.schedule(service_time, self._complete_cb)
 
     def _complete(self) -> None:

@@ -130,12 +130,8 @@ class Monitor:
                 service_time=service_time,
             )
 
-    def record_acceptance(self) -> None:
-        """Observe one admitted request (called by the priority/SLA gates)."""
-        self._metrics.record_acceptance()
-
     def record_rejection(self) -> None:
-        """Observe one rejected request (called by the priority/SLA gates)."""
+        """Observe one rejected request."""
         self._metrics.record_rejection()
 
     def record_arrival(self) -> None:

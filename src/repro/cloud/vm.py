@@ -64,7 +64,7 @@ class VirtualMachine:
     vm_id:
         Data-center-unique identifier.
     spec:
-        Resource class the VM was created from (its *initial* size).
+        Resource class the VM was created from.
     host_id:
         Identifier of the physical host the VM is pinned to.
     created_at:
@@ -73,11 +73,6 @@ class VirtualMachine:
         Current :class:`VMState`.
     destroyed_at:
         Simulation time the VM was destroyed, if it was.
-    allocated_cores:
-        Cores currently pinned to the VM.  Starts at ``spec.cores``;
-        vertical-scaling policies change it at runtime through
-        :meth:`repro.cloud.datacenter.Datacenter.resize_vm` (the paper's
-        §VI comparator, Zhu & Agrawal-style reconfiguration).
     """
 
     vm_id: int
@@ -86,14 +81,6 @@ class VirtualMachine:
     created_at: float
     state: VMState = VMState.PROVISIONING
     destroyed_at: Optional[float] = field(default=None)
-    allocated_cores: int = field(default=0)
-    _core_seconds_closed: float = field(default=0.0, repr=False)
-    _segment_start: float = field(default=0.0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.allocated_cores == 0:
-            self.allocated_cores = self.spec.cores
-        self._segment_start = self.created_at
 
     def boot_completed(self) -> None:
         """Transition PROVISIONING → RUNNING (idempotent on RUNNING)."""
@@ -105,7 +92,6 @@ class VirtualMachine:
         """Transition to DESTROYED, recording the time."""
         if self.state is VMState.DESTROYED:
             raise ValueError(f"VM {self.vm_id} destroyed twice")
-        self._close_segment(when)
         self.state = VMState.DESTROYED
         self.destroyed_at = when
 
@@ -117,30 +103,6 @@ class VirtualMachine:
         end = self.destroyed_at if self.destroyed_at is not None else now
         return max(0.0, end - self.created_at)
 
-    # -- core-seconds ledger (vertical scaling) -------------------------
-    def _close_segment(self, now: float) -> None:
-        self._core_seconds_closed += self.allocated_cores * max(
-            0.0, now - self._segment_start
-        )
-        self._segment_start = now
-
-    def record_resize(self, new_cores: int, now: float) -> None:
-        """Account a core-allocation change (called by the data center)."""
-        if new_cores < 1:
-            raise ValueError(f"a VM needs at least one core, got {new_cores}")
-        if self.state is VMState.DESTROYED:
-            raise ValueError(f"VM {self.vm_id} is destroyed and cannot resize")
-        self._close_segment(now)
-        self.allocated_cores = new_cores
-
     def core_seconds(self, now: float) -> float:
-        """Σ cores × wall-clock seconds — the vertical-scaling cost unit.
-
-        For VMs that were never resized this equals
-        ``spec.cores × lifetime``.
-        """
-        if self.state is VMState.DESTROYED:
-            return self._core_seconds_closed
-        return self._core_seconds_closed + self.allocated_cores * max(
-            0.0, now - self._segment_start
-        )
+        """``spec.cores`` × :meth:`lifetime` — the capacity-cost unit."""
+        return self.spec.cores * self.lifetime(now)

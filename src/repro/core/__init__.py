@@ -28,13 +28,10 @@ from .controlplane import (
     alert_schedule,
     next_alert_time,
 )
-from .mixed import MixedFleetPolicy, MixedFleetProvisioner
 from .modeler import PerformanceModeler, ProvisioningDecision
 from .policies import AdaptivePolicy, ProvisioningPolicy, StaticPolicy, default_predictor
 from .provisioner import ApplicationProvisioner, ScalingAction
 from .qos import QoSTarget
-from .sla import SLAAwareAdmission, SLAContract, SLAPortfolio
-from .vertical import VerticalProvisioner, VerticalScalingAction, VerticalScalingPolicy
 
 __all__ = [
     "QoSTarget",
@@ -53,13 +50,5 @@ __all__ = [
     "ProvisioningPolicy",
     "StaticPolicy",
     "AdaptivePolicy",
-    "VerticalScalingPolicy",
-    "VerticalProvisioner",
-    "VerticalScalingAction",
-    "SLAContract",
-    "SLAPortfolio",
-    "SLAAwareAdmission",
-    "MixedFleetPolicy",
-    "MixedFleetProvisioner",
     "default_predictor",
 ]

@@ -10,14 +10,8 @@ Format history
 --------------
 * **version 2** (current) — one ``kind: "metrics"`` entry per result,
   the JSON form of :class:`RunMetrics` (backend tag included).
-* **version 1** — two result kinds: ``"run"`` (the pre-backend
-  ``RunResult``) and ``"fluid"`` (the fluid engine's ``FluidResult``).
-  :func:`load_results` still reads these, upgrading each blob to a
-  :class:`RunMetrics`: ``run`` blobs map field-for-field with
-  ``backend="des"``; ``fluid`` blobs carried no identification or
-  diagnostics, so ``scenario``/``policy`` load as ``"unknown"``,
-  ``seed`` as 0, ``completed`` as the accepted count, and the missing
-  counters as 0 (``backend="fluid"``).
+* **version 1** — the pre-backend ``"run"``/``"fluid"`` result kinds;
+  no longer read (loading one raises :class:`ConfigurationError`).
 """
 
 from __future__ import annotations
@@ -36,22 +30,6 @@ __all__ = ["result_to_dict", "result_from_dict", "save_results", "load_results"]
 _FORMAT = "repro-results"
 _VERSION = 2
 
-#: Fields of a version-1 ``"fluid"`` blob (FluidResult, now retired).
-_V1_FLUID_FIELDS = frozenset(
-    {
-        "total_requests",
-        "accepted",
-        "rejected",
-        "rejection_rate",
-        "mean_response_time",
-        "min_instances",
-        "max_instances",
-        "vm_hours",
-        "utilization",
-        "fleet_series",
-    }
-)
-
 
 def result_to_dict(result: RunMetrics) -> dict:
     """Serialize one result to a JSON-safe dict (with a ``kind`` tag)."""
@@ -65,77 +43,18 @@ def result_to_dict(result: RunMetrics) -> dict:
     return {"kind": "metrics", "data": payload}
 
 
-def _series(data: dict, key: str) -> None:
-    if key in data:
-        data[key] = tuple(tuple(point) for point in data[key])
-
-
-def _from_metrics(data: dict) -> RunMetrics:
-    _series(data, "fleet_series")
-    _series(data, "control_series")
-    return RunMetrics(**data)
-
-
-def _from_v1_run(data: dict) -> RunMetrics:
-    # A v1 "run" blob is a RunMetrics minus the backend split's fields.
-    data.setdefault("backend", "des")
-    data.setdefault("control_series", ())
-    return _from_metrics(data)
-
-
-def _from_v1_fluid(data: dict) -> RunMetrics:
-    unknown = set(data) - _V1_FLUID_FIELDS
-    if unknown:
-        raise ConfigurationError(
-            f"v1 fluid result has unexpected fields {sorted(unknown)}"
-        )
-    _series(data, "fleet_series")
-    return RunMetrics(
-        scenario="unknown",
-        policy="unknown",
-        seed=0,
-        total_requests=data["total_requests"],
-        accepted=data["accepted"],
-        completed=data["accepted"],
-        rejected=data["rejected"],
-        rejection_rate=data["rejection_rate"],
-        mean_response_time=data["mean_response_time"],
-        response_time_std=0.0,
-        qos_violations=0,
-        min_instances=data["min_instances"],
-        max_instances=data["max_instances"],
-        vm_hours=data["vm_hours"],
-        core_hours=data["vm_hours"],
-        failures=0,
-        lost_requests=0,
-        utilization=data["utilization"],
-        wall_seconds=0.0,
-        events=0,
-        fleet_series=data.get("fleet_series", ()),
-        control_series=data.get("fleet_series", ()),
-        backend="fluid",
-    )
-
-
-#: (version, kind) → decoder.
-_DECODERS = {
-    (2, "metrics"): _from_metrics,
-    (1, "run"): _from_v1_run,
-    (1, "fluid"): _from_v1_fluid,
-}
-
-_SUPPORTED_VERSIONS = frozenset(v for v, _ in _DECODERS)
-
-
 def result_from_dict(blob: dict, version: int = _VERSION) -> RunMetrics:
-    """Inverse of :func:`result_to_dict` (version-aware)."""
+    """Inverse of :func:`result_to_dict` (current format version only)."""
     kind = blob.get("kind")
-    decoder = _DECODERS.get((int(version), kind))
-    if decoder is None:
+    if version != _VERSION or kind != "metrics":
         raise ConfigurationError(
             f"unknown result kind {kind!r} for format version {version}"
         )
-    return decoder(dict(blob["data"]))
+    data = dict(blob["data"])
+    for key in ("fleet_series", "control_series"):
+        if key in data:
+            data[key] = tuple(tuple(point) for point in data[key])
+    return RunMetrics(**data)
 
 
 def save_results(path: Union[str, Path], results: Sequence[RunMetrics]) -> None:
@@ -152,8 +71,7 @@ def save_results(path: Union[str, Path], results: Sequence[RunMetrics]) -> None:
 def load_results(path: Union[str, Path]) -> List[RunMetrics]:
     """Load a result set written by :func:`save_results`.
 
-    Reads the current format (version 2) and transparently upgrades
-    version-1 files written before the backend unification.
+    Reads the current format (version 2) only.
 
     Raises
     ------
@@ -166,9 +84,9 @@ def load_results(path: Union[str, Path]) -> List[RunMetrics]:
     if doc.get("format") != _FORMAT:
         raise ConfigurationError(f"{path}: not a repro results file")
     version = doc.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _VERSION:
         raise ConfigurationError(
             f"{path}: unsupported results version {version!r} "
-            f"(this build reads versions {sorted(_SUPPORTED_VERSIONS)})"
+            f"(this build reads version {_VERSION})"
         )
     return [result_from_dict(blob, version=version) for blob in doc["results"]]

@@ -5,8 +5,7 @@ claims rest on (docs/static-analysis.md has the full rationale):
 
 * **determinism** — no wall clocks or ambient entropy outside the
   sanctioned modules; randomness flows through seeded streams;
-* **layering** — the import-direction rules of docs/architecture.md
-  (absorbing the old ``tools/check_layering.py``);
+* **layering** — the import-direction rules of docs/architecture.md;
 * **trace-schema** — ``emit(...)`` call sites and the live
   :data:`repro.obs.schema.EVENT_TYPES` registry agree in both
   directions;

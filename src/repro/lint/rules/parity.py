@@ -16,8 +16,9 @@ Two whole-program checks, both census-style:
   except names allowlisted as intentionally single-backend
   (:data:`SCALAR_ONLY` — per-instance dispatch surface that has no
   array analogue; :data:`VEC_ONLY` — the block data-plane API the
-  epoch loop drives).  An allowlisted name that *both* classes define
-  is a stale allowlist entry, also flagged.
+  epoch loop drives).  An allowlisted name that the *other* class
+  defines, or that its own class no longer defines, is a stale
+  allowlist entry, also flagged.
 * **attribute-use census**: every fleet-typed attribute access in
   library code (receivers typed by the engine's dataflow lattice —
   constructor results, ``ctx.fleet`` chains, parameters named
@@ -27,7 +28,8 @@ Two whole-program checks, both census-style:
   backends share one monitor.
 
 Checks fire only when the defining classes are in the scan, so
-fixture trees opt in by shipping miniature ``repro/cloud`` modules and
+fixture trees opt in by shipping miniature ``repro/cloud`` modules
+(which must then define every allowlisted name of their class) and
 linting ``tests/`` alone stays quiet.
 """
 
@@ -45,18 +47,9 @@ _VEC = ("repro.cloud.vecfleet", "VectorFleet")
 _MON = ("repro.cloud.monitor", "Monitor")
 
 #: ApplicationFleet members with no vectorized analogue by design:
-#: the per-instance dispatch/shaping surface (single requests, named
-#: instances, speed knobs) that the array plane replaces wholesale.
-SCALAR_ONLY = frozenset(
-    {
-        "dispatch",
-        "active_instances",
-        "grow_with_spec",
-        "scale_down_instance",
-        "set_speed",
-        "balancer",
-    }
-)
+#: the per-instance dispatch surface (single requests, named instances,
+#: the balancer) that the array plane replaces wholesale.
+SCALAR_ONLY = frozenset({"dispatch", "active_instances", "balancer"})
 
 #: VectorFleet members with no scalar analogue by design: the block
 #: data-plane API (arrival buffers, epoch advancement, span counters)
@@ -134,29 +127,33 @@ class ParityRule(Rule):
                 ),
                 hint=_PARITY_HINT,
             )
-        for name in sorted(SCALAR_ONLY & set(vec_pub)):
+        yield from self._stale(
+            index, SCALAR_ONLY, "SCALAR_ONLY", _APP, app_pub, _VEC, vec_pub
+        )
+        yield from self._stale(
+            index, VEC_ONLY, "VEC_ONLY", _VEC, vec_pub, _APP, app_pub
+        )
+
+    def _stale(self, index, allowlist, const, own, own_pub, other, other_pub):
+        """Allowlist entries the other class defines or the own class lacks."""
+        label = const.lower().replace("_", "-")
+        for name in sorted(allowlist):
+            if name in other_pub:
+                where, line, why = other, other_pub[name], "defines it"
+            elif name not in own_pub:
+                where, line, why = own, index.class_line(*own), "no longer defines it"
+            else:
+                continue
             yield Finding(
-                path=vec_rel,
-                line=vec_pub[name],
+                path=index.facts(where[0])["rel"],
+                line=line,
                 col=0,
                 rule=self.name,
                 message=(
-                    f"{name!r} is allowlisted as scalar-only but "
-                    "VectorFleet defines it — stale allowlist entry"
+                    f"{name!r} is allowlisted as {label} but {where[1]} "
+                    f"{why} — stale allowlist entry"
                 ),
-                hint="drop the name from SCALAR_ONLY",
-            )
-        for name in sorted(VEC_ONLY & set(app_pub)):
-            yield Finding(
-                path=app_rel,
-                line=app_pub[name],
-                col=0,
-                rule=self.name,
-                message=(
-                    f"{name!r} is allowlisted as vec-only but "
-                    "ApplicationFleet defines it — stale allowlist entry"
-                ),
-                hint="drop the name from VEC_ONLY",
+                hint=f"drop the name from {const}",
             )
 
     # ------------------------------------------------------------------

@@ -19,8 +19,7 @@ both directions (the same census pattern as ``trace-schema``):
   flagged, with three sanctioned shapes that *are* resolved: literal
   strings (incl. two-literal conditionals), module-level string
   constants (``streams.get(REVOCATION_STREAM)``), and f-strings whose
-  literal prefix matches a registered ``prefix.*`` family
-  (``f"service.{tier.name}"`` under ``service.*``);
+  literal prefix matches a registered ``prefix.*`` family;
 * constructing a generator *outside* the stream discipline —
   ``numpy.random.default_rng(...)`` anywhere but ``repro.sim.rng``
   itself — is a finding even when seeded: a seeded ad-hoc generator is

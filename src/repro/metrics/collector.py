@@ -53,8 +53,6 @@ class MetricsCollector:
         # -- failure injection ------------------------------------------
         self.failures = 0  # instance crashes observed
         self.lost_requests = 0  # admitted requests that died in a crash
-        # -- composite (multi-tier) deployments ---------------------------
-        self.dropped_downstream = 0  # admitted, then refused by a later tier
         # Welford accumulators for response time.
         self._resp_mean = 0.0
         self._resp_m2 = 0.0
@@ -138,14 +136,6 @@ class MetricsCollector:
         self.failures += 1
         self.lost_requests += count
 
-    def record_intermediate(self, service_time: float) -> None:
-        """Record a non-final tier's completed service (busy time only)."""
-        self.busy_seconds += service_time
-
-    def record_downstream_drop(self) -> None:
-        """Record an admitted request refused by a downstream tier."""
-        self.dropped_downstream += 1
-
     def record_fleet_size(self, now: float, instances: int) -> None:
         """Record a change in the number of live application instances."""
         if self.min_instances is None or instances < self.min_instances:
@@ -165,23 +155,8 @@ class MetricsCollector:
 
     @property
     def in_flight(self) -> int:
-        """Admitted requests not yet completed (excluding crash losses
-        and mid-pipeline drops)."""
-        return (
-            self.accepted
-            - self.completed
-            - self.lost_requests
-            - self.dropped_downstream
-        )
-
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of offered requests that never completed service:
-        front-gate rejections, downstream drops, and crash losses."""
-        total = self.total_requests
-        if total == 0:
-            return 0.0
-        return (self.rejected + self.dropped_downstream + self.lost_requests) / total
+        """Admitted requests not yet completed (excluding crash losses)."""
+        return self.accepted - self.completed - self.lost_requests
 
     @property
     def rejection_rate(self) -> float:

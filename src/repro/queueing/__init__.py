@@ -27,7 +27,6 @@ from .mmc import MMCQueue
 from .mmck import MMCKQueue
 from .mminf import MMInfQueue
 from .network import NetworkPerformance, ProvisioningNetwork
-from .tandem import CompositeServiceModeler, TandemNetwork, TandemStage
 
 __all__ = [
     "QueueModel",
@@ -48,7 +47,4 @@ __all__ = [
     "erlang_c",
     "NetworkPerformance",
     "ProvisioningNetwork",
-    "TandemStage",
-    "TandemNetwork",
-    "CompositeServiceModeler",
 ]

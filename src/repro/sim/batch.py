@@ -75,7 +75,7 @@ def fifo_departures(
     arrivals:
         Sorted arrival times of the server's request sequence.
     services:
-        Matching service times (already divided by the server speed).
+        Matching service times.
     ready:
         Time the server frees up from earlier work (the in-service
         request's departure); defaults to "idle forever".

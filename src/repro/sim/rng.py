@@ -34,7 +34,7 @@ __all__ = [
 #: The library's stream-name census: every named stream a ``repro.*``
 #: module draws, with its purpose.  A trailing ``.*`` entry declares a
 #: *family* — dynamically-composed names under that literal prefix
-#: (``service.{tier}``).  The ``rng-streams`` lint rule cross-checks
+#: (``prefix.{name}``).  The ``rng-streams`` lint rule cross-checks
 #: this table in both directions: drawing an unregistered name and
 #: registering a name nobody draws are both findings, so the table is
 #: always the complete, current answer to "where does randomness enter
@@ -44,7 +44,6 @@ __all__ = [
 STREAM_REGISTRY: Dict[str, str] = {
     "arrivals": "workload arrival process (both DES backends)",
     "service": "service-time draws (both DES backends)",
-    "service.*": "per-tier service-time draws of multi-tier fleets",
     "workload.mmpp.phase": "MMPP phase trajectory of synthetic workloads",
     "economy.revocation": "spot-capacity revocation schedule",
     "analysis.web": "workload characterization of the web trace",

@@ -51,3 +51,22 @@ def lint_tree(
 def by_rule(result: LintResult, rule: str) -> List[Finding]:
     """The findings of one rule, in report order."""
     return [f for f in result.findings if f.rule == rule]
+
+
+def mini_fleet(cls: str, members: Sequence[str]) -> str:
+    """Source of a miniature fleet class for ``backend-parity`` fixtures.
+
+    Defines the shared ``scale_to`` plus one stub method per name in
+    ``members`` (a fixture passes its side's live allowlist, which the
+    rule requires the class to define).  Indented like the other
+    fixture strings, so callers can append more ``def`` blocks.
+    """
+    stubs = "".join(
+        f"\n        def {name}(self, *args):\n            return None\n"
+        for name in sorted(members)
+    )
+    return f"""
+    class {cls}:
+        def scale_to(self, n):
+            return n
+{stubs}"""

@@ -3,15 +3,12 @@
 Pins the exit-code contract (0 clean / 1 findings / 2 internal error),
 the JSON output mode, ``--fix-hints``, ``--rules`` subsetting, the
 ``--update-baseline`` add/expire cycle, the incremental-cache options
-(``--no-cache``, the replay report line), the ``--graph`` DOT export,
-and the retirement stub at tools/check_layering.py.
+(``--no-cache``, the replay report line) and the ``--graph`` DOT export.
 """
 
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 from lint_support import write_tree
@@ -20,7 +17,6 @@ from repro.experiments.cli import main
 from repro.lint import Finding
 
 REPO = Path(__file__).resolve().parents[1]
-SHIM = REPO / "tools" / "check_layering.py"
 
 _CLOCK = {
     "repro/cloud/junk.py": """
@@ -204,19 +200,3 @@ def test_lint_parse_error_is_exit_one(tmp_path, capsys, monkeypatch):
     assert main(["lint", str(root)]) == 1
     out = capsys.readouterr().out
     assert "[parse-error]" in out
-
-
-# ---------------------------------------------------------------------------
-# tools/check_layering.py was retired to a pointer stub
-# ---------------------------------------------------------------------------
-
-
-def test_shim_is_retired_with_pointer():
-    proc = subprocess.run(
-        [sys.executable, str(SHIM), "src"],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "repro lint" in proc.stderr

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from lint_support import by_rule, lint_tree, write_tree
+from lint_support import by_rule, lint_tree, mini_fleet, write_tree
 
 from repro.lint import run_lint
+from repro.lint.rules.parity import SCALAR_ONLY, VEC_ONLY
 
 # ---------------------------------------------------------------------------
 # incremental cache
@@ -331,23 +332,10 @@ def test_lease_protocol_ignores_modules_outside_campaigns(tmp_path):
 # backend-parity
 # ---------------------------------------------------------------------------
 
-_MINI_APP = """
-    class ApplicationFleet:
-        def scale_to(self, n):
-            return n
-
-        def dispatch(self, req):
-            return req
-"""
-
-_MINI_VEC = """
-    class VectorFleet:
-        def scale_to(self, n):
-            return n
-
-        def advance(self, dt):
-            return dt
-"""
+# Each miniature class defines every name allowlisted for its side
+# (among them ``dispatch`` scalar-only and ``advance`` vec-only).
+_MINI_APP = mini_fleet("ApplicationFleet", SCALAR_ONLY)
+_MINI_VEC = mini_fleet("VectorFleet", VEC_ONLY)
 
 _MINI_MON = """
     class Monitor:

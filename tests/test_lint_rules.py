@@ -7,8 +7,11 @@ idioms it must leave alone.
 
 from __future__ import annotations
 
-from lint_support import by_rule, lint_tree
+import pytest
 
+from lint_support import by_rule, lint_tree, mini_fleet
+
+from repro.lint.rules.parity import SCALAR_ONLY, VEC_ONLY
 from repro.obs.metrics import METRIC_NAMES
 from repro.obs.schema import EVENT_TYPES
 
@@ -605,3 +608,45 @@ def test_float_compare_scoped_to_analytical_modules(tmp_path):
         rules=["float-compare"],
     )
     assert result.findings == []
+
+
+# ---------------------------------------------------------------------------
+# backend-parity: allowlist entries must name a member of their own class
+# ---------------------------------------------------------------------------
+
+
+_STALE = "is allowlisted as {} but {} no longer defines it — stale allowlist entry"
+
+
+@pytest.mark.parametrize(
+    "dropped, expected",
+    [
+        ((), []),
+        # Neither class defines 'balancer' / 'spans' any more: dead
+        # allowlist entries, even though the other class lacks them too.
+        (
+            ("balancer", "spans"),
+            [
+                "'balancer' " + _STALE.format("scalar-only", "ApplicationFleet"),
+                "'spans' " + _STALE.format("vec-only", "VectorFleet"),
+            ],
+        ),
+    ],
+    ids=["each-class-defines-its-allowlist", "entry-defined-by-neither"],
+)
+def test_parity_flags_allowlist_entry_its_class_no_longer_defines(
+    tmp_path, dropped, expected
+):
+    result = lint_tree(
+        tmp_path,
+        {
+            "repro/cloud/fleet.py": mini_fleet(
+                "ApplicationFleet", SCALAR_ONLY - set(dropped)
+            ),
+            "repro/cloud/vecfleet.py": mini_fleet(
+                "VectorFleet", VEC_ONLY - set(dropped)
+            ),
+        },
+        rules=["backend-parity"],
+    )
+    assert [f.message for f in by_rule(result, "backend-parity")] == expected

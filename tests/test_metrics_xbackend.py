@@ -265,6 +265,7 @@ def test_campaign_interrupt_flushes_borrowed_bus(tmp_path, monkeypatch):
     """Satellite guarantee: a KeyboardInterrupt mid-campaign leaves every
     already-emitted trace event durable on disk, and a borrowed bus open."""
     import repro.campaigns.executor as executor
+    from repro.campaigns.scheduler import run_campaign
 
     def boom(*args, **kwargs):
         raise KeyboardInterrupt
@@ -274,7 +275,7 @@ def test_campaign_interrupt_flushes_borrowed_bus(tmp_path, monkeypatch):
     path = tmp_path / "campaign.jsonl"
     bus = TraceBus(JsonlSink(path))
     with pytest.raises(KeyboardInterrupt):
-        executor.run_campaign(spec, workers=1, trace=bus)
+        run_campaign(spec, workers=1, trace=bus)
     # cell.start events were flushed by the finally path, not lost in
     # the sink's buffer
     lines = [json.loads(l) for l in path.read_text().strip().splitlines()]

@@ -11,6 +11,7 @@ from repro.cloud import (
     FirstFitPlacement,
     LeastLoadedPlacement,
     RandomPlacement,
+    VMSpec,
 )
 from repro.errors import PlacementError
 
@@ -95,13 +96,21 @@ def test_vm_seconds_ledger():
     # At t=110: a closed (100), b live (100).
     assert dc.vm_seconds(110.0) == pytest.approx(200.0)
     assert dc.vm_hours(110.0) == pytest.approx(200.0 / 3600.0)
+    # One-core VMs: the core-seconds ledger is the VM-seconds ledger.
+    assert dc.core_seconds(110.0) == dc.vm_seconds(110.0)
 
 
 def test_free_cores_accounting():
     dc = Datacenter(num_hosts=2)
     assert dc.total_cores == 16
-    dc.create_vm(0.0)
+    small = dc.create_vm(0.0)
     assert dc.free_cores == 15
+    dc.create_vm(0.0, VMSpec(cores=4, ram_mb=8192, name="large"))
+    assert dc.free_cores == 11
+    dc.destroy_vm(small, 100.0)
+    assert dc.free_cores == 12
+    # The 4-core VM accrues four core-seconds per second of lifetime.
+    assert dc.core_seconds(100.0) == 100.0 + 4 * 100.0
 
 
 def test_invalid_host_count():
