@@ -7,8 +7,12 @@ per-request hot loop replaced by the structure-of-arrays data plane
 :mod:`repro.sim.batch`).  Python events are only materialized at
 control-plane epochs — analyzer alerts, Algorithm-1 decisions, VM
 boots, monitor samples — where the unchanged
-:mod:`repro.core.controlplane` machinery takes over; between epochs,
-whole arrival blocks move through numpy kernels.
+:mod:`repro.core.controlplane` machinery takes over.  Workload windows
+are no events: the fleet pulls them from the broker, so between epochs
+whole arrival blocks, spanning many windows, move through numpy
+kernels.  Each pulled window still counts as one event in
+``RunMetrics.events``, which therefore equals the scalar backend's
+count on jitterless runs.
 
 On jitterless scenarios des-vec is exact: the control and fleet
 trajectories, accepted/rejected/completed counts, QoS violations and
@@ -57,11 +61,11 @@ def build_vec_context(
 ) -> SimulationContext:
     """Wire the batched data plane of one replication (no policy attached).
 
-    Mirrors :func:`repro.backends.des.build_context` — same streams,
-    same component construction order — but the fleet is a
-    :class:`VectorFleet` and the broker hands whole arrival windows to
-    it instead of walking a per-arrival cursor.  There is no admission
-    object: the fleet's block loop *is* the admission gate (the paper's
+    Mirrors :func:`repro.backends.des.build_context` — same named
+    streams — but the fleet is a :class:`VectorFleet` that pulls whole
+    arrival windows from a pull-mode broker instead of the broker
+    walking a per-arrival cursor.  There is no admission object: the
+    fleet's block loop *is* the admission gate (the paper's
     all-instances-full test, evaluated in bulk).
     """
     streams = RandomStreams(seed)
@@ -86,6 +90,13 @@ def build_vec_context(
     )
     sampler = workload.service_sampler(streams.get("service"))
     capacity = scenario.capacity
+    source = WorkloadSource(
+        engine=engine,
+        workload=workload,
+        rng=streams.get("arrivals"),
+        horizon=scenario.horizon,
+        tracer=tracer,
+    )
     fleet = VectorFleet(
         engine=engine,
         datacenter=datacenter,
@@ -99,14 +110,7 @@ def build_vec_context(
         max_block=max_block,
         count_arrivals=scenario.count_arrivals,
         registry=registry,
-    )
-    source = WorkloadSource(
-        engine=engine,
-        workload=workload,
-        rng=streams.get("arrivals"),
-        horizon=scenario.horizon,
-        tracer=tracer,
-        sink=fleet,
+        source=source,
     )
     return SimulationContext(
         engine=engine,
@@ -159,8 +163,9 @@ class DESVecBackend:
 
         ``trace``/``audit``/``metrics`` behave exactly as on the scalar
         DES backend; traced runs additionally emit one ``batch.span``
-        summary per non-empty epoch span, and the metrics registry
-        additionally counts spans and flushed requests.
+        summary per non-empty span (a span ends at every window start
+        and every engine event), and the metrics registry additionally
+        counts spans and flushed requests.
         """
         profile = RunProfile()
         if isinstance(trace, TraceConfig):
@@ -255,13 +260,11 @@ class DESVecBackend:
                         telemetry.write_jsonl(
                             metrics.resolve_path(scenario.name, policy.name, seed)
                         )
-            # The backend's unit of work: epoch events plus the
-            # arrivals/completions the array plane absorbed.
-            work = (
-                ctx.engine.events_fired
-                + plane.arrivals_processed
-                + plane.completions_processed
-            )
+            # The backend's unit of work: epoch events, the windows the
+            # data plane pulled (each once an engine event of its own)
+            # and the arrivals/completions the array plane absorbed.
+            events = ctx.engine.events_fired + ctx.source.windows
+            work = events + plane.arrivals_processed + plane.completions_processed
             profile.count("events", ctx.engine.events_fired)
             profile.count("arrivals", plane.arrivals_processed)
             profile.count("completions", plane.completions_processed)
@@ -271,7 +274,7 @@ class DESVecBackend:
                 tracer.emit(
                     "run.end",
                     now,
-                    events=ctx.engine.events_fired,
+                    events=events,
                     compactions=ctx.engine.compactions,
                 )
                 profile.count("trace_events", tracer.emitted)

@@ -17,6 +17,12 @@ moves the clock and counts the arrival as a fired event.  Each arrival
 is still one engine event and fires at the same place in
 ``(time, priority, seq)`` order.  On the web day at scale 200 about
 half of the arrivals never touch the heap.
+
+Without an admission gate the source runs in *pull* mode and no
+window is an engine event: the vectorized data plane calls
+:meth:`WorkloadSource.pull` for every window that starts before the
+time it advances to, so a batch span runs from one control epoch to
+the next.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ class _ArrivalCursor:
 
 
 class WorkloadSource:
-    """Feeds a workload's arrivals into an arrival sink.
+    """Generates a workload's arrivals one window at a time.
 
     Parameters
     ----------
@@ -109,24 +115,24 @@ class WorkloadSource:
     rng:
         Dedicated random stream for arrival sampling.
     admission:
-        The deployment's front door.  The default sink is a rolling
-        cursor that submits each arrival to it at its timestamp.
+        The deployment's front door.  With it, the source runs in
+        *cursor* mode: every window is an engine event, and a rolling
+        cursor submits each arrival to admission at its timestamp.
+        Without it (the vectorized backend), the source runs in *pull*
+        mode: nothing is scheduled, and the consumer calls :meth:`pull`
+        while :attr:`next_window` is earlier than the time it advances
+        to, taking one window's arrival batch per call.
     horizon:
         Generation stops at this simulation time (arrivals beyond it
         are discarded).
-    sink:
-        Alternative consumer of each window's arrival batch — any
-        object with ``load(times: np.ndarray)``.  The vectorized
-        backend passes its :class:`~repro.cloud.vecfleet.VectorFleet`
-        here, which buffers whole windows for the batched data plane
-        instead of firing one engine event per arrival.  Exactly
-        one of ``admission`` / ``sink`` must be provided.
 
     Notes
     -----
-    Window generation runs at :data:`~repro.sim.events.PRIORITY_HIGH`
-    so that a window's first arrival is in the event list before any
-    same-instant completion fires.
+    In cursor mode window generation runs at
+    :data:`~repro.sim.events.PRIORITY_HIGH` so that a window's first
+    arrival is in the event list before any same-instant completion
+    fires.  Both modes generate the same windows in the same order
+    with the same ``rng`` draws; :attr:`windows` counts them.
     """
 
     def __init__(
@@ -137,48 +143,65 @@ class WorkloadSource:
         admission: Optional[AdmissionControl] = None,
         horizon: float = 0.0,
         tracer: Optional[object] = None,
-        sink: Optional[object] = None,
     ) -> None:
         if horizon <= 0.0 or not math.isfinite(horizon):
             raise ConfigurationError(f"horizon must be finite and > 0, got {horizon!r}")
-        if (admission is None) == (sink is None):
-            raise ConfigurationError(
-                "provide exactly one of admission= (scalar cursor dispatch) "
-                "or sink= (batched window hand-off)"
-            )
         self._engine = engine
         self._workload = workload
         self._rng = rng
-        self._admission = admission
-        if sink is None:
-            sink = self._cursor = _ArrivalCursor(engine, admission)
-        else:
-            self._cursor = None
-        self._sink = sink
+        self._cursor = None if admission is None else _ArrivalCursor(engine, admission)
         self.horizon = float(horizon)
         self.generated = 0
+        #: Windows generated so far.  A pulled window is no engine
+        #: event, but still counts as one in ``RunMetrics.events``.
+        self.windows = 0
+        #: Start of the window :meth:`pull` generates next; ``inf``
+        #: before :meth:`start`, in cursor mode and past the horizon.
+        self.next_window = math.inf
         #: Optional :class:`repro.obs.bus.TraceBus`; one event per
         #: generated window (cold path — never per arrival).
         self._tracer = tracer
 
     def start(self) -> None:
-        """Schedule generation of the first window (call before run)."""
-        self._engine.schedule_at(
-            self._engine.now, lambda: self._generate_window(self._engine.now), PRIORITY_HIGH
-        )
+        """Begin generation at the current clock (call before run).
 
-    def _generate_window(self, t0: float) -> None:
+        Cursor mode schedules the first window on the engine; pull
+        mode only arms :attr:`next_window`.
+        """
+        now = self._engine.now
+        if self._cursor is None:
+            self.next_window = now
+        else:
+            self._engine.schedule_at(now, lambda: self._scheduled_window(now), PRIORITY_HIGH)
+
+    def pull(self) -> np.ndarray:
+        """Generate the window starting at :attr:`next_window` (pull mode).
+
+        Returns the window's sorted, horizon-clipped arrival times.
+        """
+        t0 = self.next_window
+        arrivals = self._sample_window(t0)
+        t_next = t0 + self._workload.window
+        self.next_window = t_next if t_next < self.horizon else math.inf
+        return arrivals
+
+    def _scheduled_window(self, t0: float) -> None:
+        arrivals = self._sample_window(t0)
+        if arrivals.size:
+            self._cursor.load(arrivals)
+        t_next = t0 + self._workload.window
+        if t_next < self.horizon:
+            self._engine.schedule_at(
+                t_next, lambda: self._scheduled_window(t_next), PRIORITY_HIGH
+            )
+
+    def _sample_window(self, t0: float) -> np.ndarray:
         arrivals = self._workload.sample_window(self._rng, t0)
         horizon = self.horizon
         if arrivals.size and arrivals[-1] >= horizon:
             arrivals = arrivals[arrivals < horizon]
+        self.windows += 1
+        self.generated += int(arrivals.size)
         if self._tracer is not None:
-            self._tracer.emit(
-                "window.generated", self._engine.now, t0=t0, arrivals=int(arrivals.size)
-            )
-        if arrivals.size:
-            self.generated += int(arrivals.size)
-            self._sink.load(arrivals)
-        t_next = t0 + self._workload.window
-        if t_next < horizon:
-            self._engine.schedule_at(t_next, lambda: self._generate_window(t_next), PRIORITY_HIGH)
+            self._tracer.emit("window.generated", t0, t0=t0, arrivals=int(arrivals.size))
+        return arrivals

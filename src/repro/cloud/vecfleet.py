@@ -12,14 +12,18 @@ Epoch model
 The ``des-vec`` backend drives the fleet with an *epoch loop*: before
 every engine event (control alerts, Algorithm-1 decisions, VM boots,
 monitor samples) it calls :meth:`advance` up to the event's timestamp.
-A request's departure is fixed when it is dispatched
-(:class:`~repro.sim.batch.SoAQueues`), so ``advance`` only has to admit
-arrivals; it consumes the pending arrival buffer in *blocks*:
+Workload windows are not engine events: ``advance`` pulls every window
+of its pull-mode :class:`~repro.cloud.broker.WorkloadSource` that
+starts before that timestamp, in window order, through :meth:`load`,
+and remembers each window start as a *mark*.  A request's departure is
+fixed when it is dispatched (:class:`~repro.sim.batch.SoAQueues`), so
+``advance`` only has to admit arrivals; it consumes the pending arrival
+buffer in *blocks*, across marks:
 
 1. if every active station is full, bulk-reject arrivals up to the
    first release of a full station (one ``searchsorted``);
 2. otherwise offer the arrivals up to the earliest of the next release
-   of a full station, the span end and ``max_block`` to the non-full
+   of a full station, the flush end and ``max_block`` to the non-full
    stations, cyclically in round-robin-pointer order.  The kernel
    computes the block's departures and cuts it at the first arrival
    that finds its station full — there the scalar balancer would skip
@@ -27,14 +31,21 @@ arrivals; it consumes the pending arrival buffer in *blocks*:
    open set re-planned.  Up to the cut, blocked cyclic assignment is
    the scalar balancer's pointer walk, arrival by arrival.
 
-Completion is not a simulation step.  At every span end the pooled
-requests are split once at the boundary (``dep < t`` before an epoch,
-``dep ≤ t`` at the horizon), sorted by departure time and recorded
-through the monitor/metrics *bulk* interfaces; a draining station is
+Completion is not a simulation step.  Each flush drains the pool once
+at its end (``dep < t`` before an epoch, ``dep ≤ t`` at the horizon),
+sorted by departure time, then splits the completions and the admitted
+and rejected arrivals at the marks.  Each resulting *span* — from one
+mark or epoch to the next — is posted on its own, in time order,
+through the monitor/metrics *bulk* interfaces: a span is exactly what a
+flush at every window start would have posted.  A draining station is
 destroyed at its last departure and a killed station loses its pooled
-requests.  Because span boundaries are engine events — never block
-boundaries — every recorded quantity is invariant to the block size
-(the hypothesis property test in ``tests/test_batch_engine.py``).
+requests.  Because span boundaries are window starts and engine events
+— never block boundaries — every recorded quantity is invariant to the
+block size (the hypothesis property test in
+``tests/test_batch_engine.py``).  Without engine events for a long
+stretch (a static policy) the flush closes early at a mark once
+``max_block`` arrivals are pending, so the buffer and the pool stay
+within ``max_block`` + one window + ``k`` × stations.
 
 Fidelity to the scalar fleet:
 
@@ -52,7 +63,7 @@ Fidelity to the scalar fleet:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +72,7 @@ from ..metrics.collector import MetricsCollector
 from ..sim.batch import SoAQueues
 from ..sim.engine import Engine
 from ..workloads.base import ServiceTimeSampler
+from .broker import WorkloadSource
 from .datacenter import Datacenter
 from .loadbalancer import LoadBalancer, RoundRobinBalancer
 from .monitor import Monitor
@@ -68,17 +80,23 @@ from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec
 
 __all__ = ["VectorFleet"]
 
+_EMPTY = np.empty(0)
+
 
 class VectorFleet:
     """Array-backed instance fleet satisfying the FleetActuator protocol.
 
     Parameters mirror :class:`~repro.cloud.fleet.ApplicationFleet`;
-    additionally ``max_block`` caps the arrival-block size (purely a
-    memory/latency knob — results are block-size invariant),
-    ``count_arrivals`` enables the monitor's arrival-rate counter, and
-    ``registry`` (a :class:`repro.obs.metrics.MetricsRegistry`) counts
-    flushed spans and the requests they carried — span-cadence updates,
-    so the per-request hot loop stays untouched.
+    additionally ``max_block`` caps the arrival-block size and the
+    arrivals buffered between flushes (purely a memory/latency knob —
+    results are block-size invariant), ``count_arrivals`` enables the
+    monitor's arrival-rate counter, ``registry`` (a
+    :class:`repro.obs.metrics.MetricsRegistry`) counts flushed spans and
+    the requests they carried — span-cadence updates, so the
+    per-request hot loop stays untouched — and ``source`` is the
+    pull-mode :class:`~repro.cloud.broker.WorkloadSource` whose windows
+    :meth:`advance` loads (without one, only batches handed to
+    :meth:`load` are processed).
 
     Only round-robin dispatch is implemented: a ``balancer`` argument
     must be ``None`` or a :class:`RoundRobinBalancer` (other strategies
@@ -100,6 +118,7 @@ class VectorFleet:
         max_block: int = 65_536,
         count_arrivals: bool = False,
         registry: Optional[object] = None,
+        source: Optional[WorkloadSource] = None,
     ) -> None:
         if capacity < 1:
             raise ConfigurationError(f"queue capacity k must be >= 1, got {capacity}")
@@ -139,12 +158,17 @@ class VectorFleet:
         self._active_idx = np.empty(0, dtype=np.intp)
         self._rr = 0
         # -- arrival buffer (the broker's sink) ------------------------
+        self._source = source
         self._times = np.empty(0)
         self._services = np.empty(0)
         self._pos = 0
-        # -- span accumulators (reset at every flush) ------------------
-        self._span_accepted = 0
-        self._span_rejected = 0
+        self._loaded: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._buffered = 0
+        # -- span state (reset at every flush) -------------------------
+        #: Window starts pulled since the last flush; each ends a span.
+        self._marks: List[float] = []
+        #: ``(start, stop)`` buffer ranges rejected since the last flush.
+        self._rejects: List[Tuple[int, int]] = []
         self._accepting: Optional[bool] = None
         # -- counters --------------------------------------------------
         self.arrivals_processed = 0
@@ -315,28 +339,19 @@ class VectorFleet:
         """Buffer one window's sorted arrival batch.
 
         Service times are drawn here, one vectorized block per window.
-        A window's batch normally drains before the next is generated;
-        leftovers (a misbehaving workload model) are merged, keeping
-        the buffer sorted.
+        Loaded windows join the sorted buffer at the next admission
+        pass (:meth:`_merge_loaded`).
         """
         times = np.asarray(times, dtype=np.float64)
         if times.size == 0:
             return
-        services = self._sampler.draw_many(times.size)
-        if self._pos < self._times.size:
-            times = np.concatenate((self._times[self._pos :], times))
-            services = np.concatenate((self._services[self._pos :], services))
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            services = services[order]
-        self._times = times
-        self._services = services
-        self._pos = 0
+        self._loaded.append((times, self._sampler.draw_many(times.size)))
+        self._buffered += int(times.size)
 
     @property
     def buffered(self) -> int:
         """Arrivals loaded but not yet admitted or rejected."""
-        return int(self._times.size - self._pos)
+        return self._buffered
 
     # ------------------------------------------------------------------
     # the epoch hot loop
@@ -347,31 +362,71 @@ class VectorFleet:
         Called by the backend before each engine event fires; the
         strictness mirrors the scalar priority order, where a
         same-instant control event (PRIORITY_HIGH) precedes data-plane
-        events.  Flushes span statistics so the event's control logic
-        observes exactly the pre-epoch state.
+        events.  Pulls every window that starts before ``t_end`` from
+        the broker, then flushes span statistics so the event's control
+        logic observes exactly the pre-epoch state.
         """
         t_end = float(t_end)
-        self._consume_arrivals(t_end)
+        self._pull_windows(t_end)
         self._flush(t_end, strict=True)
 
     def finish(self, horizon: float) -> None:
         """Close the data plane at the horizon (completions inclusive).
 
-        Consumes the arrivals remaining after the last engine event,
-        then reports completions *including* those at exactly the
-        horizon — the scalar engine fires those events, while the epoch
-        loop's strict flushes exclude them.
+        Pulls and consumes the arrivals remaining after the last engine
+        event, then reports completions *including* those at exactly
+        the horizon — the scalar engine fires those events, while the
+        epoch loop's strict flushes exclude them.
         """
         horizon = float(horizon)
-        self._consume_arrivals(horizon)
+        self._pull_windows(horizon)
         self._flush(horizon, strict=False)
 
-    def _consume_arrivals(self, t_end: float) -> None:
-        """Admit or reject every buffered arrival strictly before ``t_end``."""
+    def _pull_windows(self, t_end: float) -> None:
+        """Load every source window starting before ``t_end``; mark each start.
+
+        Once ``max_block`` arrivals are pending, a flush closes early
+        at the next window start, so a long stretch without engine
+        events (a static policy) keeps the buffer and the pool bounded.
+        """
+        source = self._source
+        if source is None:
+            return
+        while source.next_window < t_end:
+            mark = source.next_window
+            if self._buffered >= self._max_block:
+                self._flush(mark, strict=True)
+            else:
+                self._marks.append(mark)
+            self.load(source.pull())
+
+    def _merge_loaded(self) -> None:
+        """Fold the loaded windows into the sorted arrival buffer."""
+        parts = [(self._times[self._pos :], self._services[self._pos :]), *self._loaded]
+        self._loaded = []
+        times = np.concatenate([t for t, _ in parts])
+        services = np.concatenate([s for _, s in parts])
+        if any(a.size and a[-1] > b[0] for (a, _), (b, _) in zip(parts, parts[1:])):
+            # A window reaching past the next one's start (a misbehaving
+            # workload model): keep the buffer sorted.
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            services = services[order]
+        self._times = times
+        self._services = services
+        self._pos = 0
+
+    def _consume_arrivals(self, t_end: float) -> int:
+        """Admit or reject every buffered arrival strictly before ``t_end``.
+
+        Returns the buffer index the pass started from.
+        """
+        if self._loaded:
+            self._merge_loaded()
         soa = self._soa
         times = self._times
         services = self._services
-        i = self._pos
+        lo = i = self._pos
         stop = int(np.searchsorted(times, t_end, side="left"))
         while i < stop:
             act = self._active_idx
@@ -407,14 +462,14 @@ class VectorFleet:
             self._accept_block(times, i, i + took)
             self._rr = int((order[(took - 1) % width] + 1) % na)
             i += took
+        self._buffered -= i - lo
         self._pos = i
+        return lo
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _accept_block(self, times: np.ndarray, i: int, j: int) -> None:
-        count = j - i
-        self._span_accepted += count
         tracer = self._tracer
         if tracer is not None:
             if self._accepting is not True:
@@ -424,10 +479,9 @@ class VectorFleet:
                 tracer.emit("request.admitted", t)
 
     def _reject_block(self, times: np.ndarray, i: int, j: int) -> None:
-        count = j - i
-        if count <= 0:
+        if j <= i:
             return
-        self._span_rejected += count
+        self._rejects.append((i, j))
         tracer = self._tracer
         if tracer is not None:
             if self._accepting is not False:
@@ -436,15 +490,67 @@ class VectorFleet:
             for t in times[i:j].tolist():
                 tracer.emit("request.rejected", t)
 
+    def _rejected_before(self, cuts: List[int]) -> List[int]:
+        """Rejected arrivals of this flush before each buffer index in ``cuts``."""
+        if not self._rejects:
+            return [0] * len(cuts)
+        ranges = np.array(self._rejects, dtype=np.intp)
+        self._rejects = []
+        starts, ends = ranges[:, 0], ranges[:, 1]
+        total = np.concatenate(([0], np.cumsum(ends - starts)))
+        at = np.array(cuts, dtype=np.intp)
+        # Every range starting before a cut counts whole, less the part
+        # of the last such range that runs past the cut.
+        k = np.searchsorted(starts, at)
+        over = np.where(k > 0, np.maximum(ends[k - 1] - at, 0), 0)
+        return (total[k] - over).tolist()
+
     def _flush(self, t_end: float, strict: bool) -> None:
-        """Post the span's accumulated effects in deterministic order."""
-        completions = 0
-        for _, dep, arr, svc in self._soa.drain(t_end, strict=strict):
-            completions = int(dep.size)
+        """Admit the arrivals before ``t_end``, then post every span they close.
+
+        The spans end at the pulled window starts (strictly) and at
+        ``t_end``.  The pool is drained once, and its completions and
+        this pass's arrivals are split at the window starts, so each
+        span posts exactly what a flush of its own would have posted.
+        """
+        lo = self._consume_arrivals(t_end)
+        marks = self._marks
+        self._marks = []
+        hi = self._pos
+        drained = self._soa.drain(t_end, strict=strict)
+        dep, arr, svc = drained[0][1:] if drained else (_EMPTY, _EMPTY, _EMPTY)
+        arrival_cuts = (np.searchsorted(self._times[lo:hi], marks) + lo).tolist() + [hi]
+        completion_cuts = np.searchsorted(dep, marks).tolist() + [dep.size]
+        rejected_cuts = self._rejected_before(arrival_cuts)
+        a0, c0, r0 = lo, 0, 0
+        ends = marks + [t_end]
+        for end, a1, c1, r1 in zip(ends, arrival_cuts, completion_cuts, rejected_cuts):
+            self._post_span(
+                end,
+                strict or end < t_end,
+                dep[c0:c1],
+                arr[c0:c1],
+                svc[c0:c1],
+                a1 - a0 - (r1 - r0),
+                r1 - r0,
+            )
+            a0, c0, r0 = a1, c1, r1
+
+    def _post_span(
+        self,
+        t_end: float,
+        strict: bool,
+        dep: np.ndarray,
+        arr: np.ndarray,
+        svc: np.ndarray,
+        accepted: int,
+        rejected: int,
+    ) -> None:
+        """Post one span's effects in deterministic order."""
+        completions = int(dep.size)
+        if completions:
             self.completions_processed += completions
             self._monitor.record_responses(dep - arr, svc, dep)
-        accepted = self._span_accepted
-        rejected = self._span_rejected
         if accepted or rejected:
             self.arrivals_processed += accepted + rejected
             if self._count_arrivals:
@@ -453,8 +559,6 @@ class VectorFleet:
                 self._monitor.record_acceptances(accepted)
             if rejected:
                 self._monitor.record_rejections(rejected)
-            self._span_accepted = 0
-            self._span_rejected = 0
         if self._draining:
             # A draining station empties at its last departure.
             draining = np.array(self._draining, dtype=np.intp)

@@ -80,7 +80,7 @@ METRIC_NAMES: Dict[str, Tuple[str, str]] = {
     "control.cache_misses": ("counter", "decision-cache misses of the run's modeler"),
     "fleet.size": ("gauge", "serving instances after the latest actuation"),
     "fleet.target": ("gauge", "fleet size requested by the latest decision"),
-    "batch.spans": ("counter", "non-empty epoch spans flushed by the vectorized data plane"),
+    "batch.spans": ("counter", "non-empty vectorized spans (each ends at a window start or epoch)"),
     "batch.flushed_requests": ("counter", "arrivals + completions absorbed by vectorized span flushes"),
     "economy.revenue": ("gauge", "income earned by completed requests (pricing units)"),
     "economy.cost": ("gauge", "blended on-demand + spot capacity bill (pricing units)"),

@@ -90,10 +90,11 @@ EVENT_TYPES: Dict[str, Dict[str, tuple]] = {
     },
     # engine heap hygiene
     "engine.compacted": {"removed": (int,), "remaining": (int,)},
-    # vectorized backend: one summary per non-empty epoch span (the
+    # vectorized backend: one summary per non-empty span (the
     # arrivals/completions the array data plane absorbed since the
-    # previous engine event); ``stations`` is the active fleet size at
-    # the flush and ``width`` the span's extent in simulation seconds
+    # previous window start or engine event); ``stations`` is the active
+    # fleet size at the flush and ``width`` the time since the previous
+    # non-empty span ended, in simulation seconds
     "batch.span": {
         "arrivals": (int,),
         "completions": (int,),

@@ -29,7 +29,7 @@ How :class:`SoAQueues` stays exact (see ``docs/performance.md``):
   it; the caller re-plans the rest.
 * **Pool split** — completion is not a simulation step: admitted
   requests wait in one pool and each :meth:`SoAQueues.drain` splits it
-  once at the span boundary.
+  once at the flush boundary.
 
 The cumsum/running-max unroll of the Lindley recursion
 (:func:`fifo_departures` and friends) stays out of the data plane: it
@@ -172,14 +172,16 @@ class SoAQueues:
       at time ``t`` is the number of entries later than ``t`` and it is
       full exactly when ``recent[i, 0] > t``;
     * the *pool* — one ``(station, departure, arrival, service)`` entry
-      per admitted request not yet reported by :meth:`drain`.
+      per admitted request not yet reported by :meth:`drain`, in four
+      preallocated columns that grow by doubling, so a span of many
+      small blocks costs no per-block arrays.
 
     Slots are allocated monotonically (:meth:`alloc`) and never reused,
     so the slot index doubles as the instance id, identical to the
     scalar fleet's ``_next_instance_id`` numbering.
     """
 
-    __slots__ = ("capacity", "recent", "allocated", "_pool", "_chunks")
+    __slots__ = ("capacity", "recent", "allocated", "_cols", "_size")
 
     def __init__(self, capacity: int, initial_slots: int = 64) -> None:
         if capacity < 1:
@@ -187,10 +189,10 @@ class SoAQueues:
         self.capacity = int(capacity)
         self.recent = np.full((max(int(initial_slots), 1), self.capacity), -np.inf)
         self.allocated = 0
-        self._pool: Entries = (
-            np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0)
+        self._cols: Entries = (
+            np.empty(64, dtype=np.intp), np.empty(64), np.empty(64), np.empty(64)
         )
-        self._chunks: List[Entries] = []
+        self._size = 0
 
     def alloc(self) -> int:
         """Allocate a fresh idle slot; returns its index."""
@@ -202,12 +204,20 @@ class SoAQueues:
         return idx
 
     def pool(self) -> Entries:
-        """Every admitted request not yet drained, as one entry tuple."""
-        if self._chunks:
-            parts = [self._pool, *self._chunks]
-            self._pool = tuple(np.concatenate(col) for col in zip(*parts))
-            self._chunks = []
-        return self._pool
+        """Every admitted request not yet drained, as one entry tuple.
+
+        The arrays are views of the pool's columns, valid until the
+        next :meth:`assign`, :meth:`drain` or :meth:`evict`.
+        """
+        n = self._size
+        return tuple(col[:n] for col in self._cols)
+
+    def _keep(self, entries: Entries) -> None:
+        """Make ``entries`` (arrays no view of the columns) the whole pool."""
+        n = entries[0].size
+        for col, part in zip(self._cols, entries):
+            col[:n] = part
+        self._size = n
 
     def assign(
         self,
@@ -252,7 +262,17 @@ class SoAQueues:
             cut = n
         if cut:
             dep = hist[k * width : k * width + cut]
-            self._chunks.append((stations[:cut], dep, arrivals[:cut], services[:cut]))
+            size = self._size
+            end = size + cut
+            if end > self._cols[0].size:
+                grown = max(end, 2 * self._cols[0].size)
+                self._cols = tuple(
+                    np.concatenate((col[:size], np.empty(grown - size, dtype=col.dtype)))
+                    for col in self._cols
+                )
+            for col, part in zip(self._cols, (stations, dep, arrivals, services)):
+                col[size:end] = part[:cut]
+            self._size = end
             rounds, extra = divmod(cut, width)
             lanes = hist.reshape(-1, width)
             if extra:
@@ -276,14 +296,14 @@ class SoAQueues:
         order = np.argsort(pool[1], kind="stable")
         pool = tuple(col[order] for col in pool)
         cut = int(np.searchsorted(pool[1], t, side="left" if strict else "right"))
-        self._pool = tuple(col[cut:] for col in pool)
+        self._keep(tuple(col[cut:] for col in pool))
         return [tuple(col[:cut] for col in pool)] if cut else []
 
     def evict(self, idx: int) -> int:
         """Drop station ``idx``'s pooled requests; returns how many."""
-        st, dep, arr, svc = self.pool()
-        keep = st != idx
-        lost = int(st.size - np.count_nonzero(keep))
+        pool = self.pool()
+        keep = pool[0] != idx
+        lost = int(keep.size - np.count_nonzero(keep))
         if lost:
-            self._pool = (st[keep], dep[keep], arr[keep], svc[keep])
+            self._keep(tuple(col[keep] for col in pool))
         return lost

@@ -494,3 +494,61 @@ def test_max_block_choice_never_changes_results(max_block):
         backend=DESVecBackend(max_block=max_block),
     )
     assert _normalized(got) == _reference()
+
+
+# ---------------------------------------------------------------------------
+# bounded memory without engine events
+# ---------------------------------------------------------------------------
+
+
+def _static_day_peaks(monkeypatch, max_block):
+    """Run a static des-vec day; return (result, drain calls, peak, bound).
+
+    ``peak`` is the most buffered plus pooled requests seen entering a
+    pool drain, ``bound`` the least of ``max_block`` + the largest
+    window + k × live stations over the same drains.
+    """
+    fleets, windows, seen = [], [0], []
+    load, drain = VectorFleet.load, SoAQueues.drain
+
+    def spy_load(self, times):
+        if not fleets or fleets[-1] is not self:
+            fleets.append(self)
+        windows[0] = max(windows[0], len(times))
+        load(self, times)
+
+    def spy_drain(self, t, strict=False):
+        fleet = fleets[-1]
+        held = int(self.pool()[0].size) + fleet.buffered
+        seen.append((held, max_block + windows[0] + self.capacity * fleet.live_count))
+        return drain(self, t, strict)
+
+    monkeypatch.setattr(VectorFleet, "load", spy_load)
+    monkeypatch.setattr(SoAQueues, "drain", spy_drain)
+    scenario = web_scenario(scale=2000.0, horizon=24 * 3600.0, track_fleet_series=True)
+    result = run_policy(
+        scenario, StaticPolicy(60), seed=0, backend=DESVecBackend(max_block=max_block)
+    )
+    monkeypatch.undo()
+    assert len(fleets) == 1
+    return (
+        result,
+        len(seen),
+        max(held for held, _ in seen),
+        min(bound for _, bound in seen),
+    )
+
+
+def test_static_day_keeps_buffer_and_pool_bounded(monkeypatch):
+    """A static policy posts no engine event for a whole day, so only the
+    early flush at a window start keeps the buffered arrivals and the
+    pool within ``max_block`` + one window + k × stations."""
+    small, drains, peak, bound = _static_day_peaks(monkeypatch, 2048)
+    assert small.profile["counters"]["events"] == 0
+    assert small.total_requests > 8 * 2048
+    assert drains > 8
+    assert peak <= bound
+    # The default block holds the whole day at once, past that bound.
+    default, default_drains, default_peak, _ = _static_day_peaks(monkeypatch, 65_536)
+    assert default_drains == 1 and default_peak > bound
+    assert _normalized(small) == _normalized(default)

@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.broker import WorkloadSource, _ArrivalCursor
+from repro.cloud.datacenter import Datacenter
+from repro.cloud.monitor import Monitor
+from repro.cloud.vecfleet import VectorFleet
+from repro.core import AdaptivePolicy
 from repro.errors import ConfigurationError, SchedulingInPastError
+from repro.experiments import run_policy, web_scenario
+from repro.metrics.collector import MetricsCollector
+from repro.obs.metrics import MetricsConfig
 from repro.sim import Engine
 from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL
+from repro.workloads import WebWorkload
+from repro.workloads.base import ServiceTimeSampler
 
 
 class RecordingAdmission:
@@ -258,3 +270,156 @@ def test_out_of_order_arrival_still_raises_instead_of_rewinding_the_clock():
     with pytest.raises(SchedulingInPastError):
         eng.run()
     assert eng.now == 3.0
+
+
+# ---------------------------------------------------------------------------
+# pull mode: the vectorized data plane pulls windows, none is an event
+# ---------------------------------------------------------------------------
+
+
+def _pull_fleet(horizon, per_window=10):
+    engine = Engine()
+    metrics = MetricsCollector()
+    source = WorkloadSource(engine, GridWorkload(per_window), None, horizon=horizon)
+    fleet = VectorFleet(
+        engine=engine,
+        datacenter=Datacenter(num_hosts=4),
+        sampler=ServiceTimeSampler(np.random.default_rng(0), base=1.0, jitter=0.0),
+        monitor=Monitor(engine=engine, metrics=metrics, default_service_time=1.0),
+        metrics=metrics,
+        capacity=2,
+        source=source,
+    )
+    fleet.scale_to(2)
+    return engine, source, fleet, metrics
+
+
+def test_pull_mode_start_schedules_nothing():
+    eng = Engine()
+    source = WorkloadSource(eng, GridWorkload(), None, horizon=180.0)
+    assert source.next_window == math.inf
+    source.start()
+    assert eng.pending == 0 and eng.peek() is None
+    assert source.next_window == 0.0
+    assert source.pull().tolist() == GridWorkload().sample_window(None, 0.0).tolist()
+    assert (source.windows, source.next_window) == (1, 60.0)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        # Repeats, window starts, a time between them, one past the horizon.
+        (0.0, 0.0, 60.0, 61.5, 61.5, 119.0, 120.0, 200.0, 1e9),
+        (120.0, 130.0, 250.0),
+        (),
+    ],
+    ids=["irregular", "to-the-horizon", "finish-only"],
+)
+def test_advance_pulls_every_window_once_in_order(monkeypatch, times):
+    # A 250-s horizon is no multiple of the 60-s window: the last
+    # window [240, 300) is clipped to [240, 250).
+    engine, source, fleet, metrics = _pull_fleet(horizon=250.0)
+    loaded = []
+    load = VectorFleet.load
+
+    def spy(self, batch):
+        loaded.append(np.asarray(batch).tolist())
+        load(self, batch)
+
+    monkeypatch.setattr(VectorFleet, "load", spy)
+    source.start()
+    for t in times:
+        fleet.advance(t)
+        # Every window starting before t has been pulled, no other.
+        pulled = min(math.ceil(t / 60.0), 5)
+        assert source.windows == len(loaded) == pulled
+        assert source.next_window == (60.0 * pulled if pulled < 5 else math.inf)
+        assert fleet.arrivals_processed == sum(len(b) for b in loaded) - fleet.buffered
+    fleet.finish(250.0)
+    assert [b[0] for b in loaded] == [0.0, 60.0, 120.0, 180.0, 240.0]
+    assert loaded[-1] == [240.0, 246.0]
+    flat = [t for b in loaded for t in b]
+    assert flat == sorted(flat) and len(flat) == len(set(flat)) == source.generated == 42
+    assert fleet.buffered == 0
+    assert fleet.arrivals_processed == metrics.total_requests == 42
+    assert engine.events_fired == 0
+
+
+def _scheduled_callbacks(monkeypatch, run):
+    """Qualified names of every callback scheduled on an engine during ``run``."""
+    names = []
+    schedule, schedule_at = Engine.schedule, Engine.schedule_at
+
+    def spy(method):
+        def wrapper(self, when, callback, *args):
+            names.append(getattr(callback, "__qualname__", type(callback).__name__))
+            return method(self, when, callback, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(Engine, "schedule", spy(schedule))
+    monkeypatch.setattr(Engine, "schedule_at", spy(schedule_at))
+    result = run()
+    return names, result
+
+
+@pytest.mark.parametrize("backend", ["des", "des-vec"])
+def test_no_window_event_reaches_the_engine_under_des_vec(monkeypatch, backend):
+    sc = web_scenario(scale=2000.0, horizon=3600.0)
+    names, result = _scheduled_callbacks(
+        monkeypatch, lambda: run_policy(sc, AdaptivePolicy(), seed=0, backend=backend)
+    )
+    windows = [n for n in names if n.startswith("WorkloadSource.")]
+    if backend == "des":
+        assert len(windows) == 60  # the scalar cursor mode is unchanged
+    else:
+        assert windows == []
+        assert result.profile["counters"]["events"] < 60
+
+
+class _WindowTicks(AdaptivePolicy):
+    """Adaptive, plus a no-op engine event at every window start.
+
+    Each window start is then an engine event, as it was when windows
+    were generated on the engine, so every batch span is flushed by
+    the epoch loop instead of at a mark inside a longer flush.
+    """
+
+    def attach(self, ctx):
+        super().attach(ctx)
+        t = 0.0
+        while t < ctx.horizon:
+            ctx.engine.schedule_at(t, lambda: None, PRIORITY_HIGH)
+            t += ctx.workload.window
+
+
+def test_window_marks_post_exactly_what_window_events_did():
+    # Jittered web with boot delays and telemetry; control epochs every
+    # 900 s fall on window starts.
+    sc = web_scenario(scale=2000.0, horizon=6 * 3600.0, boot_delay=60.0, track_fleet_series=True)
+    assert sc.update_interval % sc.workload.window == 0.0
+    plain = run_policy(sc, AdaptivePolicy(), seed=0, backend="des-vec", metrics=MetricsConfig())
+    ticked = run_policy(sc, _WindowTicks(), seed=0, backend="des-vec", metrics=MetricsConfig())
+    windows = 6 * 60
+    assert ticked.profile["counters"]["events"] == plain.profile["counters"]["events"] + windows
+    assert ticked.profile["counters"]["spans"] == plain.profile["counters"]["spans"]
+    # The no-op events are counted; pulled windows count once either way.
+    assert ticked.events == plain.events + windows
+    assert dataclasses.replace(ticked, events=plain.events, wall_seconds=0.0) == dataclasses.replace(
+        plain, wall_seconds=0.0
+    )
+
+
+def test_des_vec_counts_windows_as_events_like_des():
+    # Jitterless web: des-vec reproduces des exactly, event count
+    # included, with control epochs on window starts.
+    sc = web_scenario(
+        scale=2000.0,
+        horizon=6 * 3600.0,
+        workload=WebWorkload(service_jitter=0.0).scaled(2000.0),
+    )
+    des = run_policy(sc, AdaptivePolicy(), seed=0, backend="des")
+    vec = run_policy(sc, AdaptivePolicy(), seed=0, backend="des-vec")
+    assert vec.events == des.events
+    assert vec.control_series == des.control_series
+    assert vec.profile["counters"]["events"] + 6 * 60 + vec.total_requests + vec.completed == vec.events
