@@ -29,9 +29,15 @@ except ImportError:  # pragma: no cover - py3.7 fallback, not supported
         return cls
 
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 
-__all__ = ["RunMetrics", "ExecutionBackend", "resolve_backend", "BACKENDS"]
+__all__ = [
+    "RunMetrics",
+    "ExecutionBackend",
+    "resolve_backend",
+    "check_conservation",
+    "BACKENDS",
+]
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,43 @@ class RunMetrics:
             return 1.0
         met = max(0.0, self.completed - self.qos_violations)
         return min(1.0, met / self.total_requests)
+
+
+def check_conservation(
+    metrics: RunMetrics, arrivals: int, in_flight: int, busy_seconds: float
+) -> None:
+    """Check the end-of-run conservation laws of one DES replication.
+
+    * every arrival generated before the horizon (``arrivals``) was
+      accepted or rejected;
+    * every accepted request completed, was lost in a crash, or is
+      still on board an instance (``in_flight``, read from the fleet's
+      own state, not derived from the counters);
+    * service time (``busy_seconds``) does not exceed provisioned core
+      time, up to float rounding.
+
+    Raises :class:`~repro.errors.SimulationError` naming each law the
+    run breaks.
+    """
+    errors = []
+    if arrivals != metrics.accepted + metrics.rejected:
+        errors.append(
+            f"arrivals {arrivals} != accepted {metrics.accepted} "
+            f"+ rejected {metrics.rejected}"
+        )
+    if metrics.accepted != metrics.completed + metrics.lost_requests + in_flight:
+        errors.append(
+            f"accepted {metrics.accepted} != completed {metrics.completed} "
+            f"+ lost {metrics.lost_requests} + in flight {in_flight}"
+        )
+    provisioned = metrics.core_hours * 3600.0
+    if busy_seconds > provisioned * (1.0 + 1e-9):
+        errors.append(f"busy {busy_seconds!r} s > provisioned {provisioned!r} core-s")
+    if errors:
+        raise SimulationError(
+            f"{metrics.backend} run {metrics.scenario}/{metrics.policy}/"
+            f"seed {metrics.seed} breaks conservation: " + "; ".join(errors)
+        )
 
 
 @runtime_checkable

@@ -31,7 +31,7 @@ from ..obs.metrics import MetricsConfig, RunTelemetry
 from ..obs.profile import RunProfile, Stopwatch
 from ..sim.engine import Engine
 from ..sim.rng import RandomStreams
-from .base import RunMetrics
+from .base import RunMetrics, check_conservation
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
     from ..experiments.scenario import ScenarioConfig
@@ -317,7 +317,7 @@ class DESBackend:
                     compactions=ctx.engine.compactions,
                 )
                 profile.count("trace_events", tracer.emitted)
-            return RunMetrics(
+            result = RunMetrics(
                 scenario=scenario.name,
                 policy=policy.name,
                 seed=seed,
@@ -348,6 +348,10 @@ class DESBackend:
                 telemetry=telemetry_dict,
                 **economy,
             )
+            check_conservation(
+                result, ctx.source.generated, ctx.fleet.in_flight, m.busy_seconds
+            )
+            return result
         finally:
             if telemetry is not None:
                 telemetry.close_stream()

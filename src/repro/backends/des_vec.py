@@ -41,7 +41,7 @@ from ..obs.metrics import MetricsConfig
 from ..obs.profile import RunProfile, Stopwatch
 from ..sim.engine import Engine
 from ..sim.rng import RandomStreams
-from .base import RunMetrics
+from .base import RunMetrics, check_conservation
 from .des import _build_ledger, _build_telemetry, _finalize_ledger
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
@@ -278,7 +278,7 @@ class DESVecBackend:
                     compactions=ctx.engine.compactions,
                 )
                 profile.count("trace_events", tracer.emitted)
-            return RunMetrics(
+            result = RunMetrics(
                 scenario=scenario.name,
                 policy=policy.name,
                 seed=seed,
@@ -309,6 +309,10 @@ class DESVecBackend:
                 telemetry=telemetry_dict,
                 **economy,
             )
+            check_conservation(
+                result, ctx.source.generated, ctx.fleet.in_flight, m.busy_seconds
+            )
+            return result
         finally:
             if telemetry is not None:
                 telemetry.close_stream()

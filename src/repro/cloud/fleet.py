@@ -142,6 +142,11 @@ class ApplicationFleet:
         """Every non-destroyed instance (a fresh list)."""
         return self._active + self._booting + self._draining
 
+    @property
+    def in_flight(self) -> int:
+        """Admitted requests not yet completed across the fleet."""
+        return sum(inst.occupancy for inst in self.live_instances)
+
     # ------------------------------------------------------------------
     # dispatch (hot path)
     # ------------------------------------------------------------------

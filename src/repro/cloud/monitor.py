@@ -26,6 +26,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..metrics.collector import MetricsCollector
+from ..metrics.moments import CutBuffer
 from ..sim.engine import Engine
 from ..sim.events import PRIORITY_LOW
 
@@ -63,7 +64,7 @@ class Monitor:
         Optional :class:`repro.obs.metrics.MetricsRegistry`.  When set,
         every recorded response also feeds the ``qos.response_time``
         histogram (one buffered list append per completion on the
-        scalar path, one searchsorted per span on the bulk path);
+        scalar path, one searchsorted per flush on the bulk path);
         ``None`` keeps the hot path unchanged.
     """
 
@@ -89,6 +90,8 @@ class Monitor:
         self._tm = float(default_service_time)
         self._alpha = float(ewma_alpha)
         self._seen_completion = False
+        # Bulk-path service times, folded into T_m at fixed cuts.
+        self._tm_buffer = CutBuffer(self._fold_tm)
         self._tracer = tracer
         self._resp_hist = (
             registry.histogram("qos.response_time") if registry is not None else None
@@ -149,13 +152,19 @@ class Monitor:
     ) -> None:
         """Observe a batch of completions in departure order.
 
-        Semantically ``record_response`` in a loop; the ``T_m`` EWMA is
-        folded in closed form:
-        ``tm' = (1-α)^n·tm + α·Σᵢ (1-α)^(n-1-i)·sᵢ``.  When every sample
-        equals the current estimate (the jitterless scenarios), each
-        sequential step would add exactly ``α·0``, so the update is
-        skipped outright — keeping ``T_m`` bit-identical to the scalar
-        path where the cross-backend tests require it.
+        The collector and the response-time histogram merge their
+        statistics at fixed cuts of the completion sequence, so they
+        are bit-identical to ``record_response`` in a loop and to any
+        other split into batches.  ``T_m`` is folded in closed form,
+        ``tm' = (1-α)^n·tm + α·Σᵢ (1-α)^(n-1-i)·sᵢ``, at every
+        ``CUT``-th bulk completion and at :meth:`fold_service_time`
+        (the vectorized fleet calls it once per engine event), so it
+        is bit-identical for any split that keeps those points.  When
+        every sample equals the current estimate (the jitterless
+        scenarios), each sequential step would add exactly ``α·0``, so
+        the fold is skipped outright — keeping ``T_m`` bit-identical
+        to the scalar path there.  The scalar and bulk paths are not
+        mixed within one run.
 
         ``completion_times`` (departure timestamps) is only consulted
         when tracing, to stamp the per-request events.
@@ -167,23 +176,7 @@ class Monitor:
         self._metrics.record_responses(response_times, services)
         if self._resp_hist is not None:
             self._resp_hist.observe_many(response_times)
-        start = 0
-        if not self._seen_completion:
-            self._tm = float(services[0])
-            self._seen_completion = True
-            start = 1
-        tail = services[start:]
-        if tail.size and not (
-            float(tail.min()) == self._tm and float(tail.max()) == self._tm
-        ):
-            alpha = self._alpha
-            weights = (1.0 - alpha) ** np.arange(
-                tail.size - 1, -1, -1, dtype=np.float64
-            )
-            self._tm = float(
-                (1.0 - alpha) ** tail.size * self._tm
-                + alpha * float(np.dot(weights, tail))
-            )
+        self._tm_buffer.extend(services)
         if self._tracer is not None:
             responses = np.asarray(response_times, dtype=np.float64)
             if completion_times is None:
@@ -194,6 +187,27 @@ class Monitor:
                 self._tracer.emit(
                     "request.completed", t, response_time=resp, service_time=svc
                 )
+
+    def fold_service_time(self) -> None:
+        """Fold the bulk service times buffered since the last cut into ``T_m``."""
+        self._tm_buffer.flush()
+
+    def _fold_tm(self, services: np.ndarray, _paired: Optional[np.ndarray]) -> None:
+        if not self._seen_completion:
+            self._tm = float(services[0])
+            self._seen_completion = True
+            services = services[1:]
+        if services.size and not (
+            float(services.min()) == self._tm and float(services.max()) == self._tm
+        ):
+            alpha = self._alpha
+            weights = (1.0 - alpha) ** np.arange(
+                services.size - 1, -1, -1, dtype=np.float64
+            )
+            self._tm = float(
+                (1.0 - alpha) ** services.size * self._tm
+                + alpha * float(np.dot(weights, services))
+            )
 
     def record_acceptances(self, count: int) -> None:
         """Observe ``count`` admitted requests at once."""
@@ -211,7 +225,10 @@ class Monitor:
     # queries
     # ------------------------------------------------------------------
     def mean_service_time(self) -> float:
-        """Current monitored estimate of ``T_m`` (seconds)."""
+        """Current monitored estimate of ``T_m`` (seconds).
+
+        On the bulk path: as of the last cut or :meth:`fold_service_time`.
+        """
         return self._tm
 
     @property

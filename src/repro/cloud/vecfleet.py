@@ -33,24 +33,31 @@ buffer in *blocks*, across marks:
 
 Completion is not a simulation step.  Each flush drains the pool once
 at its end (``dep < t`` before an epoch, ``dep ≤ t`` at the horizon),
-sorted by departure time, then splits the completions and the admitted
-and rejected arrivals at the marks.  Each resulting *span* — from one
-mark or epoch to the next — is posted on its own, in time order,
-through the monitor/metrics *bulk* interfaces: a span is exactly what a
-flush at every window start would have posted.  A draining station is
-destroyed at its last departure and a killed station loses its pooled
-requests.  Because span boundaries are window starts and engine events
-— never block boundaries — every recorded quantity is invariant to the
-block size (the hypothesis property test in
-``tests/test_batch_engine.py``).  Without engine events for a long
-stretch (a static policy) the flush closes early at a mark once
-``max_block`` arrivals are pending, so the buffer and the pool stay
+sorted by departure time, and posts all its completions in one
+:meth:`Monitor.record_responses` call.  The response statistics do not
+depend on that batching: the collector and the response-time histogram
+merge mean, M2 and busy time only at every ``CUT``-th completion of the
+run (:mod:`repro.metrics.moments`), the same cuts scalar ``des`` uses,
+and the monitor folds ``T_m`` at those cuts and at the end of every
+:meth:`advance` (one per engine event).  The flush then splits the
+completion count and the admitted and rejected arrivals at the marks;
+each resulting *span* — from one mark or epoch to the next — posts its
+accept/reject counts, draining-station destroys, ``batch.span`` event
+and span counters in time order, exactly as a flush at every window
+start would have.  A draining station is destroyed at its last
+departure and a killed station loses its pooled requests.  Because no
+recorded quantity depends on a block boundary, an early close or a span
+boundary, every output is invariant to the block size (the hypothesis
+property test in ``tests/test_batch_engine.py``).  Without engine events
+for a long stretch (a static policy) the flush closes early at a mark
+once ``max_block`` arrivals are pending, so the buffer and the pool stay
 within ``max_block`` + one window + ``k`` × stations.
 
 Fidelity to the scalar fleet:
 
-* jitterless runs are exact — control and fleet series, counts, QoS
-  violations and the bill are bit-identical to the scalar backend;
+* jitterless runs are exact — every output field, the response-time
+  mean and standard deviation included, is bit-identical to the scalar
+  backend;
 * under service jitter the match is statistical only: the service-time
   stream is drawn per *window* (``draw_many``) in arrival order, while
   the scalar instance draws at service *start* and only for admitted
@@ -369,6 +376,7 @@ class VectorFleet:
         t_end = float(t_end)
         self._pull_windows(t_end)
         self._flush(t_end, strict=True)
+        self._monitor.fold_service_time()
 
     def finish(self, horizon: float) -> None:
         """Close the data plane at the horizon (completions inclusive).
@@ -381,6 +389,7 @@ class VectorFleet:
         horizon = float(horizon)
         self._pull_windows(horizon)
         self._flush(horizon, strict=False)
+        self._monitor.fold_service_time()
 
     def _pull_windows(self, t_end: float) -> None:
         """Load every source window starting before ``t_end``; mark each start.
@@ -518,7 +527,11 @@ class VectorFleet:
         self._marks = []
         hi = self._pos
         drained = self._soa.drain(t_end, strict=strict)
-        dep, arr, svc = drained[0][1:] if drained else (_EMPTY, _EMPTY, _EMPTY)
+        dep = _EMPTY
+        if drained:
+            _, dep, arr, svc = drained[0]
+            self.completions_processed += int(dep.size)
+            self._monitor.record_responses(dep - arr, svc, dep)
         arrival_cuts = (np.searchsorted(self._times[lo:hi], marks) + lo).tolist() + [hi]
         completion_cuts = np.searchsorted(dep, marks).tolist() + [dep.size]
         rejected_cuts = self._rejected_before(arrival_cuts)
@@ -528,9 +541,7 @@ class VectorFleet:
             self._post_span(
                 end,
                 strict or end < t_end,
-                dep[c0:c1],
-                arr[c0:c1],
-                svc[c0:c1],
+                c1 - c0,
                 a1 - a0 - (r1 - r0),
                 r1 - r0,
             )
@@ -540,17 +551,11 @@ class VectorFleet:
         self,
         t_end: float,
         strict: bool,
-        dep: np.ndarray,
-        arr: np.ndarray,
-        svc: np.ndarray,
+        completions: int,
         accepted: int,
         rejected: int,
     ) -> None:
-        """Post one span's effects in deterministic order."""
-        completions = int(dep.size)
-        if completions:
-            self.completions_processed += completions
-            self._monitor.record_responses(dep - arr, svc, dep)
+        """Post one span's counts, destroys and summary in deterministic order."""
         if accepted or rejected:
             self.arrivals_processed += accepted + rejected
             if self._count_arrivals:

@@ -266,8 +266,8 @@ class ProfitLedger:
 
         The merged record list is the sorted multiset union, and totals
         are fsum-exact over it, so ``(a ∪ b) ∪ c == a ∪ (b ∪ c)`` holds
-        bit-for-bit — the same contract the registry's Chan merge keeps
-        for Welford moments.
+        bit-for-bit — the contract the registry's counters and histogram
+        buckets keep too.
         """
         return ProfitLedger(
             pricing=self.pricing,

@@ -57,7 +57,6 @@ SCALAR_ONLY = frozenset({"dispatch", "active_instances", "balancer"})
 VEC_ONLY = frozenset(
     {
         "occupancy",
-        "in_flight",
         "load",
         "buffered",
         "advance",

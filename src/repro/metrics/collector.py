@@ -4,7 +4,9 @@ The collector accumulates everything the paper reports (§V-A "output
 metrics") in O(1) memory per request:
 
 * average response time ``T_r`` of accepted requests and its standard
-  deviation (Welford's algorithm, numerically stable over 10⁶+ samples);
+  deviation (Chan's mean/M2 merge over fixed chunks of completions —
+  :mod:`repro.metrics.moments` — so the result does not depend on how
+  a backend batches its completions);
 * number of requests whose response time violated QoS (``T_r > T_s``);
 * percentage of rejected requests;
 * minimum / maximum number of virtualized application instances alive
@@ -22,6 +24,8 @@ import math
 from typing import List, Optional, Tuple
 
 import numpy as np
+
+from .moments import CUT, CutMoments
 
 __all__ = ["MetricsCollector"]
 
@@ -53,11 +57,14 @@ class MetricsCollector:
         # -- failure injection ------------------------------------------
         self.failures = 0  # instance crashes observed
         self.lost_requests = 0  # admitted requests that died in a crash
-        # Welford accumulators for response time.
-        self._resp_mean = 0.0
-        self._resp_m2 = 0.0
-        # -- service accounting ----------------------------------------
-        self.busy_seconds = 0.0
+        # Response-time moments and busy time, merged at fixed cuts of
+        # the completion sequence.  The scalar path appends to the two
+        # lists and hands them on every ``CUT`` completions; when it
+        # hands them on does not move a cut.
+        self._moments = CutMoments()
+        self._responses: List[float] = []
+        self._services: List[float] = []
+        self._cut_at = CUT
         # -- fleet ------------------------------------------------------
         self.min_instances: Optional[int] = None
         self.max_instances: Optional[int] = None
@@ -75,14 +82,24 @@ class MetricsCollector:
         self.accepted += 1
 
     def record_response(self, response_time: float, service_time: float) -> None:
-        """Record one completed request (Welford update)."""
+        """Record one completed request (two list appends until a cut)."""
         self.completed += 1
         if response_time > self.qos_response_time:
             self.violations += 1
-        self.busy_seconds += service_time
-        delta = response_time - self._resp_mean
-        self._resp_mean += delta / self.completed
-        self._resp_m2 += delta * (response_time - self._resp_mean)
+        self._responses.append(response_time)
+        self._services.append(service_time)
+        if self.completed >= self._cut_at:
+            self._hand_over()
+
+    def _hand_over(self) -> None:
+        """Move the scalar buffers into the cut accumulator."""
+        if self._responses:
+            self._moments.buffer.extend(
+                np.array(self._responses), np.array(self._services)
+            )
+            self._responses.clear()
+            self._services.clear()
+        self._cut_at = self.completed + CUT
 
     def record_rejection(self) -> None:
         """Record one request rejected by admission control."""
@@ -102,34 +119,25 @@ class MetricsCollector:
     def record_responses(
         self, response_times: np.ndarray, service_times: np.ndarray
     ) -> None:
-        """Record a batch of completions (Chan's parallel Welford merge).
+        """Record a batch of completions, in completion order.
 
-        Violation counting and busy-time accumulation are exact; the
-        running mean/M2 merge is the standard pairwise-combination
-        update, algebraically identical to feeding the batch through
-        :meth:`record_response` one by one (floating-point rounding may
-        differ in the last ulp, which is why cross-backend tests
-        compare the derived statistics with tolerances while counters
-        compare exactly).
+        Counts and violations are exact.  Mean, M2 and busy time are
+        merged only at every ``CUT``-th completion counted over the
+        whole run (:class:`~repro.metrics.moments.CutMoments`), so the
+        statistics are bit-identical to feeding the same completions
+        through :meth:`record_response` one by one, and to any other
+        split into batches.
         """
         responses = np.asarray(response_times, dtype=np.float64)
         n = responses.size
         if n == 0:
             return
         self.violations += int(np.count_nonzero(responses > self.qos_response_time))
-        self.busy_seconds += float(np.sum(service_times))
-        batch_mean = float(responses.mean())
-        batch_m2 = float(np.sum((responses - batch_mean) ** 2))
-        prior = self.completed
-        total = prior + n
-        if prior == 0:
-            self._resp_mean = batch_mean
-            self._resp_m2 = batch_m2
-        else:
-            delta = batch_mean - self._resp_mean
-            self._resp_mean += delta * n / total
-            self._resp_m2 += batch_m2 + delta * delta * prior * n / total
-        self.completed = total
+        self._hand_over()
+        self._moments.buffer.extend(
+            responses, np.asarray(service_times, dtype=np.float64)
+        )
+        self.completed += n
 
     def record_loss(self, count: int) -> None:
         """Record an instance crash that killed ``count`` admitted requests."""
@@ -164,17 +172,26 @@ class MetricsCollector:
         total = self.total_requests
         return self.rejected / total if total else 0.0
 
+    def _totals(self):
+        self._hand_over()
+        return self._moments.totals()
+
     @property
     def mean_response_time(self) -> float:
         """Average ``T_r`` over completed requests (0 when none)."""
-        return self._resp_mean if self.completed else 0.0
+        return self._totals()[1] if self.completed else 0.0
 
     @property
     def response_time_std(self) -> float:
         """Sample standard deviation of ``T_r`` (0 with < 2 samples)."""
         if self.completed < 2:
             return 0.0
-        return math.sqrt(self._resp_m2 / (self.completed - 1))
+        return math.sqrt(self._totals()[2] / (self.completed - 1))
+
+    @property
+    def busy_seconds(self) -> float:
+        """Σ service time of completed requests."""
+        return self._totals()[3]
 
     @property
     def utilization(self) -> float:
@@ -190,7 +207,9 @@ class MetricsCollector:
 
     # ------------------------------------------------------------------
     def finalize(self, now: float, vm_hours: float) -> None:
-        """Close the books at the end of a run."""
+        """Close the books at the end of a run (merges the last chunk)."""
+        self._hand_over()
+        self._moments.buffer.flush()
         self.horizon = now
         self.vm_hours = vm_hours
 

@@ -19,8 +19,8 @@ bucket bounds.  The design rules mirror the bus:
   ``run_replications(workers=N)`` combine with
   :meth:`MetricsRegistry.merge`: counters and histogram bucket counts
   add exactly; the histogram moments use Chan's parallel mean/M2
-  combination, the same update the bulk
-  :class:`~repro.metrics.collector.MetricsCollector` path uses.
+  combination, the one implementation in :mod:`repro.metrics.moments`
+  that :class:`~repro.metrics.collector.MetricsCollector` uses too.
 
 :class:`RunTelemetry` is the per-run session object the backends build
 from a :class:`MetricsConfig`: it samples periodic ``metrics.snapshot``
@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..metrics.moments import CutMoments, chan_merge
 
 __all__ = [
     "METRIC_NAMES",
@@ -191,15 +192,16 @@ class Histogram:
     ``list.append`` (the deferred work is amortized over the whole
     buffer at the next read).
 
-    Besides the bucket counts the histogram keeps count/mean/M2 moment
-    accumulators; :meth:`merge` combines them with Chan's parallel
-    update, making per-worker histograms combine losslessly (counts are
-    exact; moments are exact up to float associativity, the same
-    guarantee the run's :class:`~repro.metrics.collector.MetricsCollector`
-    documents).
+    Besides the bucket counts the histogram keeps count/mean/M2 moments
+    (:class:`~repro.metrics.moments.CutMoments`), merged at fixed cuts
+    of the observation sequence, so they do not depend on how the
+    observations were batched or when the histogram was read.
+    :meth:`merge` joins two histograms with Chan's parallel update,
+    making per-worker histograms combine losslessly (counts are exact;
+    moments are exact up to float associativity).
     """
 
-    __slots__ = ("name", "bounds", "_counts", "_count", "_mean", "_m2", "_pending")
+    __slots__ = ("name", "bounds", "_counts", "_moments", "_pending")
     kind = "histogram"
 
     def __init__(self, name: str, bounds: Sequence[float]) -> None:
@@ -211,9 +213,7 @@ class Histogram:
         self.name = name
         self.bounds = b
         self._counts = [0] * (len(b) + 1)
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
+        self._moments = CutMoments()
         self._pending: List[float] = []
 
     # -- observation ----------------------------------------------------
@@ -222,7 +222,7 @@ class Histogram:
         self._pending.append(value)
 
     def observe_many(self, values: np.ndarray) -> None:
-        """Record a batch (vectorized bucketing + Chan moment merge)."""
+        """Record a batch (vectorized bucketing, moments at the cuts)."""
         self._flush()
         self._ingest(np.asarray(values, dtype=np.float64))
 
@@ -233,8 +233,7 @@ class Histogram:
             self._ingest(np.asarray(pending, dtype=np.float64))
 
     def _ingest(self, arr: np.ndarray) -> None:
-        n = arr.size
-        if n == 0:
+        if arr.size == 0:
             return
         idx = np.searchsorted(self.bounds, arr, side="right")
         binned = np.bincount(idx, minlength=len(self._counts))
@@ -242,27 +241,18 @@ class Histogram:
         for i, c in enumerate(binned.tolist()):
             if c:
                 counts[i] += c
-        batch_mean = float(arr.mean())
-        batch_m2 = float(np.sum((arr - batch_mean) ** 2))
-        self._combine(n, batch_mean, batch_m2)
+        self._moments.buffer.extend(arr)
 
-    def _combine(self, n: int, mean: float, m2: float) -> None:
-        prior = self._count
-        total = prior + n
-        if prior == 0:
-            self._mean = mean
-            self._m2 = m2
-        else:
-            delta = mean - self._mean
-            self._mean += delta * n / total
-            self._m2 += m2 + delta * delta * prior * n / total
-        self._count = total
+    def _totals(self) -> Tuple[int, float, float]:
+        self._flush()
+        return self._moments.totals()[:3]
 
     # -- queries --------------------------------------------------------
     @property
     def count(self) -> int:
         """Total observations (exact even with a pending buffer)."""
-        return self._count + len(self._pending)
+        m = self._moments
+        return m.count + m.buffer.pending + len(self._pending)
 
     @property
     def counts(self) -> List[int]:
@@ -273,20 +263,19 @@ class Histogram:
     @property
     def mean(self) -> float:
         """Arithmetic mean of all observations."""
-        self._flush()
-        return self._mean
+        return self._totals()[1]
 
     @property
     def sum(self) -> float:
         """Σ observations (mean × count — consistent with the moments)."""
-        self._flush()
-        return self._mean * self._count
+        count, mean, _ = self._totals()
+        return mean * count
 
     @property
     def variance(self) -> float:
         """Sample variance (0 with fewer than 2 observations)."""
-        self._flush()
-        return self._m2 / (self._count - 1) if self._count > 1 else 0.0
+        count, _, m2 = self._totals()
+        return m2 / (count - 1) if count > 1 else 0.0
 
     def cumulative_counts(self) -> List[int]:
         """Prometheus-style cumulative bucket counts (last = total)."""
@@ -311,9 +300,10 @@ class Histogram:
         if not 0.0 < q <= 1.0:
             raise ConfigurationError(f"quantile must be in (0, 1], got {q!r}")
         self._flush()
-        if self._count == 0:
+        count = self.count
+        if count == 0:
             return 0.0
-        rank = max(1, math.ceil(q * self._count))
+        rank = max(1, math.ceil(q * count))
         acc = 0
         for i, c in enumerate(self._counts):
             acc += c
@@ -327,31 +317,26 @@ class Histogram:
             raise ConfigurationError(
                 f"cannot merge histograms with different bounds ({self.name})"
             )
-        self._flush()
-        other._flush()
-        for i, c in enumerate(other._counts):
+        for i, c in enumerate(other.counts):
             self._counts[i] += c
-        if other._count:
-            self._combine(other._count, other._mean, other._m2)
+        self._moments.load(*chan_merge(*self._totals(), *other._totals()))
 
     def to_dict(self) -> dict:
-        self._flush()
+        count, mean, m2 = self._totals()
         return {
             "kind": "histogram",
             "bounds": list(self.bounds),
             "counts": list(self._counts),
-            "count": self._count,
-            "mean": self._mean,
-            "m2": self._m2,
+            "count": count,
+            "mean": mean,
+            "m2": m2,
         }
 
     def load(self, data: dict) -> None:
         if tuple(data["bounds"]) != self.bounds:
             self.bounds = tuple(data["bounds"])
         self._counts = list(data["counts"])
-        self._count = int(data["count"])
-        self._mean = float(data["mean"])
-        self._m2 = float(data["m2"])
+        self._moments.load(data["count"], data["mean"], data["m2"])
         self._pending = []
 
 

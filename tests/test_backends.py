@@ -10,9 +10,11 @@ from repro.backends import (
     RunMetrics,
     resolve_backend,
 )
+from repro.backends.base import check_conservation
 from repro.cloud.loadbalancer import RoundRobinBalancer
 from repro.core import AdaptivePolicy, StaticPolicy
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.metrics import MetricsCollector
 from repro.experiments import (
     run_policy,
     run_replications,
@@ -164,3 +166,69 @@ def test_fluid_replications_deterministic_across_seeds():
         b.vm_hours,
         b.rejection_rate,
     )
+
+
+# ----------------------------------------------------------------------
+# end-of-run conservation
+# ----------------------------------------------------------------------
+def test_conservation_accepts_a_balanced_run():
+    check_conservation(_metrics(), arrivals=10, in_flight=0, busy_seconds=8 * 3600.0)
+
+
+@pytest.mark.parametrize(
+    "arrivals, in_flight, busy, law",
+    [
+        (11, 0, 1.0, "arrivals 11 != accepted"),
+        (10, 1, 1.0, "in flight 1"),
+        (10, 0, 8 * 3600.0 * 1.001, "provisioned"),
+    ],
+)
+def test_conservation_names_the_broken_law(arrivals, in_flight, busy, law):
+    with pytest.raises(SimulationError, match=law):
+        check_conservation(
+            _metrics(), arrivals=arrivals, in_flight=in_flight, busy_seconds=busy
+        )
+
+
+_CONSERVED = web_scenario(scale=5000.0, horizon=6 * 3600.0)
+
+
+@pytest.mark.parametrize("backend", ["des", "des-vec"])
+def test_conservation_holds_on_real_runs(backend):
+    result = run_policy(_CONSERVED, StaticPolicy(3), seed=0, backend=backend)
+    assert result.rejected > 0 and result.accepted > result.completed
+
+
+def test_des_conservation_catches_one_accept_counted_as_reject(monkeypatch):
+    accept = MetricsCollector.record_acceptance
+    flipped = []
+
+    def flip(self):
+        if flipped:
+            accept(self)
+        else:
+            flipped.append(True)
+            self.record_rejection()
+
+    monkeypatch.setattr(MetricsCollector, "record_acceptance", flip)
+    with pytest.raises(SimulationError, match="accepted .* in flight"):
+        run_policy(_CONSERVED, AdaptivePolicy(), seed=0, backend="des")
+    assert flipped
+
+
+def test_des_vec_conservation_catches_one_accept_counted_as_reject(monkeypatch):
+    accept = MetricsCollector.record_acceptances
+    flipped = []
+
+    def flip(self, count):
+        if flipped:
+            accept(self, count)
+        else:
+            flipped.append(True)
+            accept(self, count - 1)
+            self.record_rejection()
+
+    monkeypatch.setattr(MetricsCollector, "record_acceptances", flip)
+    with pytest.raises(SimulationError, match="accepted .* in flight"):
+        run_policy(_CONSERVED, AdaptivePolicy(), seed=0, backend="des-vec")
+    assert flipped

@@ -156,7 +156,11 @@ def _traced_stream():
     return result.total_requests, sink.written, sink.hexdigest()
 
 
-#: Generated from the scalar engine before its hot-path rewrite.
+#: Generated from the scalar engine before its hot-path rewrite; the
+#: response-time mean and std and the utilization (busy time) were
+#: regenerated when those statistics moved to fixed completion cuts
+#: (``repro.metrics.moments``), as was the telemetry digest of the one
+#: telemetry case, whose histogram moments moved the same way.
 GOLDEN = {
     'least-connections-static3': {
         'scenario': 'web@1/5000',
@@ -167,8 +171,8 @@ GOLDEN = {
         'completed': 245,
         'rejected': 6822,
         'rejection_rate': 0.9645129365191574,
-        'mean_response_time': 0.2077163896163427,
-        'response_time_std': 0.012044230357902882,
+        'mean_response_time': 0.2077163896163428,
+        'response_time_std': 0.012044230357902874,
         'qos_violations': 0,
         'min_instances': 3,
         'max_instances': 3,
@@ -201,8 +205,8 @@ GOLDEN = {
         'completed': 8318,
         'rejected': 23,
         'rejection_rate': 0.0027551509343555344,
-        'mean_response_time': 321.7505198912862,
-        'response_time_std': 37.45457728664922,
+        'mean_response_time': 321.7505198912857,
+        'response_time_std': 37.45457728664927,
         'qos_violations': 0,
         'min_instances': 14,
         'max_instances': 82,
@@ -210,7 +214,7 @@ GOLDEN = {
         'core_hours': 952.088674159887,
         'failures': 0,
         'lost_requests': 0,
-        'utilization': 0.7644025359797536,
+        'utilization': 0.7644025359797512,
         'events': 16812,
         'fleet_series': (71, '6bb9937fa45604b238bd2db4aa8e2c4dba0664b467cba099e6144a235732d1f9'),
         'control_series': (98, '7bbb4d0926e5de7437bf11f6607fc99157e055a7b3f6dc41e725f8eb1ddd2149'),
@@ -235,8 +239,8 @@ GOLDEN = {
         'completed': 14062,
         'rejected': 6,
         'rejection_rate': 0.0004246885617214043,
-        'mean_response_time': 0.10498293181421174,
-        'response_time_std': 0.0028769312657320107,
+        'mean_response_time': 0.10498293181421159,
+        'response_time_std': 0.002876931265732015,
         'qos_violations': 0,
         'min_instances': 67,
         'max_instances': 131,
@@ -244,7 +248,7 @@ GOLDEN = {
         'core_hours': 2513.367036998768,
         'failures': 10,
         'lost_requests': 7,
-        'utilization': 0.8157881248537886,
+        'utilization': 0.8157881248537936,
         'events': 30074,
         'fleet_series': (177, '6d48562c076947ce90f631896beecc65471271d35282d5177700c0a93560f950'),
         'control_series': (102, '21d87d6e5bde7a70a2989f823a0d68aad934f567722fe5d2bf514640dd4bda09'),
@@ -258,7 +262,7 @@ GOLDEN = {
         'profit': -314.427987768708,
         'spot_vm_hours': 754.0101110996304,
         'revocations': 10,
-        'telemetry': (6, '39c7affefba028785550770c03d3a10f837b41a2a0b8d66cfc3f6148d023284d'),
+        'telemetry': (6, '937d6bc4b5e96036a27c7c6a2afbfa3453f50faae1dcdf150c73afe1d4f565e6'),
     },
     'static3-saturated-k3': {
         'scenario': 'web@1/5000',
@@ -269,8 +273,8 @@ GOLDEN = {
         'completed': 516,
         'rejected': 13603,
         'rejection_rate': 0.9628397508493771,
-        'mean_response_time': 0.29661389060884863,
-        'response_time_std': 0.017105765418615023,
+        'mean_response_time': 0.29661389060884835,
+        'response_time_std': 0.01710576541861498,
         'qos_violations': 0,
         'min_instances': 3,
         'max_instances': 3,
@@ -303,8 +307,8 @@ GOLDEN = {
         'completed': 14075,
         'rejected': 0,
         'rejection_rate': 0.0,
-        'mean_response_time': 0.10498129111508947,
-        'response_time_std': 0.002876979151783421,
+        'mean_response_time': 0.10498129111508929,
+        'response_time_std': 0.0028769791517834283,
         'qos_violations': 0,
         'min_instances': 67,
         'max_instances': 126,
@@ -312,7 +316,7 @@ GOLDEN = {
         'core_hours': 2513.25,
         'failures': 0,
         'lost_requests': 0,
-        'utilization': 0.8165675654834226,
+        'utilization': 0.8165675654834275,
         'events': 29745,
         'fleet_series': (23, '57ea7adc15b457293f6ad43715df2fde166b6807e0dad172d20f283fca50b5bb'),
         'control_series': (102, 'bfd399a853bf76cf2c45de8db50b9ee6970bd6f66e0d938cc5d9a16735556732'),

@@ -3,8 +3,8 @@
 The cross-backend tests pin ``des`` ≡ ``des-vec`` on jitterless runs
 only.  Under service jitter, with boot delays, revocations or
 telemetry, des-vec's output is its own (it draws service times per
-window, and its span partition decides how completions are merged into
-the monitor), so a change to the span model could move it unseen.
+window, and its engine events decide where the monitor folds ``T_m``),
+so a change to the data plane could move it unseen.
 This module pins des-vec's own output: every :class:`RunMetrics` field
 except ``wall_seconds`` and ``profile`` of a handful of small runs,
 compared exactly, the long fields by length and SHA-256 (as in
@@ -133,7 +133,13 @@ def _traced_stream():
 
 
 #: Generated from des-vec before arrival windows moved inside the data
-#: plane (when window generation was still an engine event).
+#: plane (when window generation was still an engine event).  The
+#: response-time mean and std, the utilization (busy time) and the
+#: telemetry digests (histogram moments) were regenerated when those
+#: statistics moved to fixed completion cuts (``repro.metrics.moments``),
+#: as was the traced multiset digest: jittered ``T_m`` folds at those
+#: cuts and at engine events, which moves it, and the predictions
+#: made from it, by ulps.
 GOLDEN = {
     'scientific-adaptive': {
         'scenario': 'scientific@1/50',
@@ -178,8 +184,8 @@ GOLDEN = {
         'completed': 412,
         'rejected': 34875,
         'rejection_rate': 0.988268298903341,
-        'mean_response_time': 0.20792881300549576,
-        'response_time_std': 0.0065729072144446975,
+        'mean_response_time': 0.20792881300549565,
+        'response_time_std': 0.006572907214444695,
         'qos_violations': 0,
         'min_instances': 1,
         'max_instances': 1,
@@ -187,7 +193,7 @@ GOLDEN = {
         'core_hours': 24.0,
         'failures': 0,
         'lost_requests': 0,
-        'utilization': 0.9986578747752862,
+        'utilization': 0.9986578747752858,
         'events': 37435,
         'fleet_series': (1, '51f8b2b0847a69f1cd747d97e0cc8982dd60ab88c5c24ebd0d126dd8a694209f'),
         'control_series': (102, 'ce1ba3bf190470d21053cc6a9d5bfbc7f010c4a2295d385ae04c235adab1f85f'),
@@ -201,7 +207,7 @@ GOLDEN = {
         'profit': 1.040000000000001,
         'spot_vm_hours': 0.0,
         'revocations': 0,
-        'telemetry': (6, '6e83ad0225e9bdbd508fa5dd0389634dcaa3bd596b4e19c96aec34dafe0591fa'),
+        'telemetry': (6, '5c2f66703fd278f1ed318d16f44f4ea34487bd6f74e057718c37b57ba372c459'),
     },
     'squeeze-spot30-telemetry': {
         'scenario': 'web@1/2000',
@@ -212,8 +218,8 @@ GOLDEN = {
         'completed': 35233,
         'rejected': 0,
         'rejection_rate': 0.0,
-        'mean_response_time': 0.10498623723794619,
-        'response_time_std': 0.0028934944198844223,
+        'mean_response_time': 0.10498623723794616,
+        'response_time_std': 0.002893494419884421,
         'qos_violations': 0,
         'min_instances': 64,
         'max_instances': 132,
@@ -235,7 +241,7 @@ GOLDEN = {
         'profit': 106.6180622312919,
         'spot_vm_hours': 757.0151110996304,
         'revocations': 10,
-        'telemetry': (6, '148d83ba8ff3664d7a3f6d802bc98cb23957ff2526059c90f2472cd5143e9b62'),
+        'telemetry': (6, 'cad7b29cb5f3a64e3a1474f96609784d641ceb7a9c06601711ae906842e47718'),
     },
     'static3-saturated-k3': {
         'scenario': 'web@1/2000',
@@ -246,8 +252,8 @@ GOLDEN = {
         'completed': 1293,
         'rejected': 34074,
         'rejection_rate': 0.9631953867028494,
-        'mean_response_time': 0.2975337546185102,
-        'response_time_std': 0.010887403357605435,
+        'mean_response_time': 0.29753375461851034,
+        'response_time_std': 0.0108874033576054,
         'qos_violations': 0,
         'min_instances': 3,
         'max_instances': 3,
@@ -280,8 +286,8 @@ GOLDEN = {
         'completed': 35241,
         'rejected': 0,
         'rejection_rate': 0.0,
-        'mean_response_time': 0.10498627768016906,
-        'response_time_std': 0.0028935739011451585,
+        'mean_response_time': 0.10498627768016923,
+        'response_time_std': 0.002893573901145156,
         'qos_violations': 0,
         'min_instances': 65,
         'max_instances': 125,
@@ -314,8 +320,8 @@ GOLDEN = {
         'completed': 35209,
         'rejected': 32,
         'rejection_rate': 0.0009067981523987645,
-        'mean_response_time': 0.10498557577944428,
-        'response_time_std': 0.0028938551296412564,
+        'mean_response_time': 0.1049855757794444,
+        'response_time_std': 0.0028938551296412546,
         'qos_violations': 0,
         'min_instances': 65,
         'max_instances': 125,
@@ -323,7 +329,7 @@ GOLDEN = {
         'core_hours': 2511.65,
         'failures': 0,
         'lost_requests': 0,
-        'utilization': 0.8176203641294806,
+        'utilization': 0.8176203641294804,
         'events': 72165,
         'fleet_series': (148, '9b659f861a910dcd58c682eba3b52eb9ae4c888f7178837e62199a2b8d380dd3'),
         'control_series': (102, '3515c81001a6e90d4e6a9802fed758df07210443ac8e78545da347308a33d41a'),
@@ -346,7 +352,7 @@ GOLDEN = {
 TRACED_GOLDEN = (
     7381,
     15638,
-    '638c61ba1e4c8b34e6c5c2ea56dcdddc9ae81aa98851eeb26a2a98ee2f89b47f',
+    '7e389dfa60ec19440ddd9c3662bdec41206ccbe4e20701623a4a6679744a2cc8',
     (360, '7a162e631d742dbf5ff82fb9401eaf23a2163c0365d0772660b9306bbaf83619'),
 )
 
