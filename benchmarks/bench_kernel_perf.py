@@ -14,7 +14,7 @@ from repro.core import AdaptivePolicy, PerformanceModeler, QoSTarget
 from repro.experiments import run_policy, web_scenario
 from repro.obs.profile import Stopwatch
 from repro.queueing import mm1k_blocking
-from repro.sim import Engine, RandomStreams, round_robin_departures
+from repro.sim import Engine, RandomStreams
 from repro.workloads import ScientificWorkload, WebWorkload
 
 
@@ -45,57 +45,8 @@ def test_engine_event_throughput_500k(benchmark):
     assert fired == 500_000
 
 
-def _rr_workload(n: int, stations: int = 100, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    arrivals = np.sort(rng.uniform(0.0, float(n) / 10.0, size=n))
-    services = rng.exponential(8.0, size=n)
-    return arrivals, services, stations
-
-
-def test_batched_round_robin_kernel_50k(benchmark):
-    """50 k round-robin requests through the SoA Lindley kernel.
-
-    The array equivalent of the 50 k-event chain above: every arrival
-    and every departure handled by a handful of numpy passes instead of
-    100 k heap operations.
-    """
-    arrivals, services, stations = _rr_workload(50_000)
-    dep = benchmark(round_robin_departures, arrivals, services, stations)
-    assert dep.shape == arrivals.shape
-    assert np.all(dep >= arrivals)
-
-
-def test_batched_vs_scalar_kernel_speedup():
-    """Acceptance check: the batched kernel beats the scalar event loop ≥5×.
-
-    Both sides process 50 k requests — the scalar engine fires one
-    chained event per request (the BENCH_PR1 ``engine_event_throughput``
-    kernel), the batched side computes all departures in one
-    :func:`round_robin_departures` call.  Best-of-5 via
-    :class:`repro.obs.profile.Stopwatch`.
-    """
-    arrivals, services, stations = _rr_workload(50_000)
-
-    def best_of(fn, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            watch = Stopwatch()
-            fn()
-            best = min(best, watch.elapsed())
-        return best
-
-    scalar = best_of(lambda: _chained_ticks(50_000))
-    batched = best_of(lambda: round_robin_departures(arrivals, services, stations))
-    speedup = scalar / batched
-    print(
-        f"\nbatched-vs-scalar 50k: scalar={scalar:.6f}s "
-        f"batched={batched:.6f}s speedup={speedup:.1f}x"
-    )
-    assert speedup >= 5.0, (scalar, batched)
-
-
 def test_vec_backend_end_to_end_speedup():
-    """des-vec must not be slower than scalar des at benchmark scale.
+    """Acceptance check: des-vec runs a web day ≥5× faster than scalar des.
 
     Full adaptive web day at scale 100 (~700 k requests): the batched
     backend replaces per-request events with array spans while keeping
@@ -116,7 +67,7 @@ def test_vec_backend_end_to_end_speedup():
     )
     assert vec.control_series == des.control_series
     assert vec.vm_hours == des.vm_hours
-    assert t_vec < t_des
+    assert t_des >= 5.0 * t_vec, (t_des, t_vec)
 
 
 WEB_PEAK_QOS = QoSTarget(max_response_time=0.250, min_utilization=0.80)

@@ -1,35 +1,39 @@
-"""Benchmark regression gate — diff live timings against a committed baseline.
+"""Benchmark regression gates — one registry, diffed against a committed baseline.
 
-``repro bench --compare BENCH_PR6.json`` re-measures a small set of
-named *gates* (the kernels whose cost the repo has promised across
-PRs: the scalar event chain, the batched round-robin Lindley kernel,
-the end-to-end des / des-vec web day) and compares each against the
-number recorded in the committed baseline document, failing loudly —
-non-zero exit in the CLI — when any gate slowed past the tolerance.
+``repro bench --compare BENCH_PR17.json`` re-measures the named *gates*
+of :data:`BENCH_GATES` — code paths a backend really runs: the scalar
+event chain, the end-to-end des / des-vec web day, and three on/off
+overhead ratios — and fails loudly (non-zero exit in the CLI) when any
+gate exceeds its bound.  A gate has one of two bounds:
 
-Baselines come in two shapes, both supported:
+* a *ceiling* — the three overhead ratios (metrics on/off, lease
+  scheduler on/off, profit m* vs Algorithm 1) are dimensionless and
+  carry an absolute bound; they fail above it whatever the baseline;
+* *baseline x tolerance* — every other gate reads its seconds from the
+  baseline's uniform ``{"gates": {"<id>": {"seconds": ...}}}`` section
+  (what :func:`baseline_document` emits) and fails above that times
+  ``tolerance``.  A baseline gate absent from the document reports
+  ``no-baseline`` and never fails the run.
 
-* the historical hand-written documents (``BENCH_PR6.json`` and
-  earlier), where each gate's seconds live at a document-specific
-  dotted path such as ``scalar.engine_event_throughput_50k.min``;
-* the uniform ``{"gates": {"<id>": {"seconds": ...}}}`` section that
-  ``baseline_document`` emits (``BENCH_PR7.json`` onward).
-
-Each gate carries its lookup-path candidates, so old and new documents
-compare through the same code path; a gate absent from the baseline is
-reported as ``no-baseline`` and never fails the run.  Tolerances are
-deliberately generous (default 3.0x) — shared CI hosts jitter, and the
-gate exists to catch order-of-magnitude regressions (an accidentally
-quadratic loop, a lost vectorization), not 10% noise.
+Tolerances are deliberately generous (default 3.0x) — baselines travel
+across hosts and shared CI hosts jitter, so the gate catches
+order-of-magnitude regressions (an accidentally quadratic loop, a lost
+vectorization), not 10% noise.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from .bench import _best_of, engine_throughput
+from .bench import (
+    _best_of,
+    engine_throughput,
+    metrics_overhead,
+    profit_policy_overhead,
+    shard_overhead,
+)
 
 __all__ = [
     "BENCH_GATES",
@@ -44,31 +48,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Gate:
-    """One named benchmark with its baseline lookup paths.
+    """One named benchmark and its bound.
 
-    ``paths`` are tried in order against a baseline document — the
-    uniform ``gates.<id>.seconds`` shape first, then the dotted paths
-    of the historical hand-written BENCH_*.json layouts.  ``slow``
-    gates (multi-second end-to-end runs) are skipped in quick mode.
+    A gate with a ``ceiling`` fails when its measurement exceeds that
+    absolute value; any other gate fails past baseline x tolerance.
+    ``slow`` gates (multi-second end-to-end runs) are skipped in quick
+    mode.
     """
 
     measure: Callable[[], float]
-    paths: Tuple[str, ...]
     slow: bool = False
+    ceiling: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class GateResult:
     """Outcome of one gate comparison.
 
-    ``regressed`` is only ever ``True`` when a baseline exists and the
-    fresh measurement exceeds ``old_seconds * tolerance``.
+    ``bound`` is what ``new_seconds`` may not exceed: the gate's
+    ``ceiling`` when it has one, else ``old_seconds * tolerance``, else
+    ``None`` (no baseline — the gate cannot regress).
     """
 
     gate: str
     new_seconds: float
     old_seconds: Optional[float]
     tolerance: float
+    ceiling: Optional[float] = None
 
     @property
     def ratio(self) -> Optional[float]:
@@ -77,137 +83,91 @@ class GateResult:
         return self.new_seconds / self.old_seconds
 
     @property
+    def bound(self) -> Optional[float]:
+        if self.ceiling is not None:
+            return self.ceiling
+        if self.old_seconds is None or self.old_seconds <= 0:
+            return None
+        return self.old_seconds * self.tolerance
+
+    @property
     def regressed(self) -> bool:
-        ratio = self.ratio
-        return ratio is not None and ratio > self.tolerance
+        bound = self.bound
+        return bound is not None and self.new_seconds > bound
 
 
-def _measure_engine_50k() -> float:
-    return engine_throughput(events=50_000)["best_seconds"]
+def _engine_seconds(events: int) -> float:
+    return engine_throughput(events=events)["best_seconds"]
 
 
-def _measure_engine_500k() -> float:
-    return engine_throughput(events=500_000)["best_seconds"]
-
-
-def _measure_round_robin_50k() -> float:
-    import numpy as np
-
-    from ..sim.batch import round_robin_departures
-    from ..sim.rng import RandomStreams
-
-    rng = RandomStreams(0).get("bench.kernels")
-    n = 50_000
-    arrivals = np.sort(rng.uniform(0.0, float(n) / 10.0, size=n))
-    services = rng.exponential(8.0, size=n)
-    round_robin_departures(arrivals, services, 100)  # warm numpy dispatch
-    return _best_of(lambda: round_robin_departures(arrivals, services, 100), 10)
-
-
-def _measure_end_to_end(backend: str) -> float:
+def _web_day_seconds(backend: str, scale: float, repeats: int = 1) -> float:
+    """Best-of-``repeats`` wall-clock of one adaptive web day."""
     from ..core.policies import AdaptivePolicy
     from .runner import run_policy
     from .scenario import web_scenario
 
-    scenario = web_scenario(scale=100.0, horizon=24 * 3600.0)
-    t0 = time.perf_counter()
-    run_policy(scenario, AdaptivePolicy(), seed=0, backend=backend)
-    return time.perf_counter() - t0
+    scenario = web_scenario(scale=scale, horizon=24 * 3600.0)
+    return _best_of(
+        lambda: run_policy(scenario, AdaptivePolicy(), seed=0, backend=backend),
+        repeats,
+    )
 
 
-def _measure_metrics_overhead_ratio() -> float:
-    from .bench import metrics_overhead
-
-    return metrics_overhead(repeats=1)["overhead_ratio"]
+def _overhead_ratio(bench: Callable[..., Dict[str, Any]], **params: Any) -> float:
+    return bench(**params)["overhead_ratio"]
 
 
-def _measure_shard_orchestration_overhead() -> float:
-    from .bench import shard_overhead
-
-    return shard_overhead()["overhead_ratio"]
-
-
-def _measure_profit_policy_overhead() -> float:
-    from .bench import profit_policy_overhead
-
-    return profit_policy_overhead()["overhead_ratio"]
-
-
-#: The comparable gates, in report order.  Values compared are seconds
-#: (lower is better) except ``metrics_overhead_ratio``,
-#: ``shard_orchestration_overhead``, and ``profit_policy_overhead``,
-#: which are on/off wall-clock ratios — dimensionless, but "lower is
-#: better" still holds, so the same tolerance logic applies.
+#: The comparable gates, in report order.  Values are seconds except
+#: the three ``ceiling`` gates, which are on/off wall-clock ratios —
+#: dimensionless, lower is better, bounded absolutely because a ratio
+#: is already host-normalised.  The ceilings leave shared CI runners
+#: slack over the quiet-host budgets the bench functions report as
+#: ``criterion`` (metrics <=1.10x, lease scheduler <=1.05x, profit
+#: m* <=1.10x).
 BENCH_GATES: Dict[str, Gate] = {
-    "engine_event_throughput_50k": Gate(
-        _measure_engine_50k,
-        (
-            "gates.engine_event_throughput_50k.seconds",
-            "scalar.engine_event_throughput_50k.min",
-            "engine_throughput.best_seconds",
-        ),
-    ),
+    "engine_event_throughput_50k": Gate(partial(_engine_seconds, 50_000)),
     "engine_event_throughput_500k": Gate(
-        _measure_engine_500k,
-        (
-            "gates.engine_event_throughput_500k.seconds",
-            "scalar.engine_event_throughput_500k.min",
-        ),
-        slow=True,
+        partial(_engine_seconds, 500_000), slow=True
     ),
-    "round_robin_kernel_50k": Gate(
-        _measure_round_robin_50k,
-        (
-            "gates.round_robin_kernel_50k.seconds",
-            "batched.round_robin_kernel_50k.min",
-        ),
+    # ~0.08 s on the des-vec path, cheap enough for quick mode; ~70 %
+    # of it (under cProfile) is VectorFleet.advance — window pull,
+    # SoAQueues.assign, flush — and the rest the control plane.
+    "des_vec_web_day_scale1000": Gate(
+        partial(_web_day_seconds, "des-vec", 1000.0, repeats=3)
     ),
     "des_end_to_end_web_scale100": Gate(
-        lambda: _measure_end_to_end("des"),
-        (
-            "gates.des_end_to_end_web_scale100.seconds",
-            "end_to_end.des_seconds",
-        ),
-        slow=True,
+        partial(_web_day_seconds, "des", 100.0), slow=True
     ),
     "des_vec_end_to_end_web_scale100": Gate(
-        lambda: _measure_end_to_end("des-vec"),
-        (
-            "gates.des_vec_end_to_end_web_scale100.seconds",
-            "end_to_end.des_vec_seconds",
-        ),
-        slow=True,
+        partial(_web_day_seconds, "des-vec", 100.0), slow=True
     ),
     "metrics_overhead_ratio": Gate(
-        _measure_metrics_overhead_ratio,
-        ("gates.metrics_overhead_ratio.seconds",),
-        slow=True,
+        partial(
+            _overhead_ratio,
+            metrics_overhead,
+            scale=1000.0,
+            horizon=4 * 3600.0,
+            repeats=3,
+        ),
+        ceiling=1.25,
     ),
     "shard_orchestration_overhead": Gate(
-        _measure_shard_orchestration_overhead,
-        ("gates.shard_orchestration_overhead.seconds",),
-        slow=True,
+        partial(_overhead_ratio, shard_overhead, seeds="0-7", repeats=9),
+        ceiling=1.25,
     ),
     "profit_policy_overhead": Gate(
-        _measure_profit_policy_overhead,
-        ("gates.profit_policy_overhead.seconds",),
+        partial(_overhead_ratio, profit_policy_overhead, steps=120, repeats=3),
+        ceiling=1.35,
     ),
 }
 
 
 def lookup_gate(doc: Mapping[str, Any], gate_id: str) -> Optional[float]:
-    """The baseline seconds for ``gate_id`` in ``doc``, or ``None``."""
-    gate = BENCH_GATES[gate_id]
-    for path in gate.paths:
-        node: Any = doc
-        for key in path.split("."):
-            if not isinstance(node, Mapping) or key not in node:
-                node = None
-                break
-            node = node[key]
-        if isinstance(node, (int, float)):
-            return float(node)
-    return None
+    """The baseline ``gates.<gate_id>.seconds`` in ``doc``, or ``None``."""
+    node: Any = doc
+    for key in ("gates", gate_id, "seconds"):
+        node = node.get(key) if isinstance(node, Mapping) else None
+    return float(node) if isinstance(node, (int, float)) else None
 
 
 def measure_gate(gate_id: str) -> float:
@@ -224,8 +184,9 @@ def compare_to_baseline(
     """Measure every applicable gate and diff it against ``baseline``.
 
     ``quick=True`` skips the ``slow`` (multi-second) gates; ``gates``
-    restricts the run to an explicit subset.  Gates missing from the
-    baseline document still measure and report, but cannot regress.
+    restricts the run to an explicit subset.  A gate without a ceiling
+    that is missing from the baseline document still measures and
+    reports, but cannot regress.
     """
     selected = list(gates) if gates is not None else list(BENCH_GATES)
     results: List[GateResult] = []
@@ -239,6 +200,7 @@ def compare_to_baseline(
                 new_seconds=gate.measure(),
                 old_seconds=lookup_gate(baseline, gate_id),
                 tolerance=float(tolerance),
+                ceiling=gate.ceiling,
             )
         )
     return results
@@ -257,26 +219,37 @@ def format_comparison(results: Sequence[GateResult]) -> str:
     """Plain-text gate table plus a one-line verdict."""
     from ..metrics.report import format_table
 
+    def num(value: Optional[float], fmt: str) -> str:
+        return "-" if value is None else format(value, fmt)
+
     rows: List[List[object]] = []
     for r in results:
-        if r.old_seconds is None:
-            baseline, ratio, verdict = "-", "-", "no-baseline"
+        if r.bound is None:
+            verdict = "no-baseline"
         else:
-            baseline = f"{r.old_seconds:.6f}"
-            ratio = f"{r.ratio:.2f}x"
             verdict = "REGRESSED" if r.regressed else "ok"
-        rows.append([r.gate, baseline, f"{r.new_seconds:.6f}", ratio, verdict])
+        bound = num(r.bound, ".6f")
+        if r.ceiling is not None:
+            bound += " (ceiling)"
+        rows.append([
+            r.gate,
+            num(r.old_seconds, ".6f"),
+            f"{r.new_seconds:.6f}",
+            "-" if r.ratio is None else f"{r.ratio:.2f}x",
+            bound,
+            verdict,
+        ])
     table = format_table(
-        ["gate", "baseline", "measured", "ratio", "verdict"],
+        ["gate", "baseline", "measured", "ratio", "bound", "verdict"],
         rows,
         title="benchmark comparison",
     )
+    if not results:
+        return table + "\nno gates selected"
     bad = [r.gate for r in results if r.regressed]
     if bad:
-        table += (
-            f"\nREGRESSION: {', '.join(bad)} exceeded "
-            f"{results[0].tolerance:.2f}x tolerance"
-        )
-    else:
-        table += f"\nall gates within {results[0].tolerance:.2f}x tolerance" if results else "\nno gates selected"
-    return table
+        return table + f"\nREGRESSION (measured above bound): {', '.join(bad)}"
+    return table + (
+        f"\nall gates within bounds (ceiling, or baseline x "
+        f"{results[0].tolerance:.2f} tolerance)"
+    )

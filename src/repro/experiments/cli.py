@@ -15,7 +15,7 @@ Installed as ``repro`` (and the legacy alias ``repro-experiments``)::
     repro metrics show telemetry/
     repro metrics export telemetry/web-Adaptive-s0.jsonl --format prometheus
     repro bench --workers 4
-    repro bench --compare BENCH_PR6.json --tolerance 3.0
+    repro bench --compare BENCH_PR17.json --tolerance 3.0
     repro lint src tests
     repro lint src --format json --baseline .reprolint.json
     repro campaign run campaigns/paper.toml --metrics
@@ -44,8 +44,9 @@ against the event schema.
 ``metrics export`` renders the latest snapshot in the Prometheus text
 exposition format (self-validated before printing).  ``bench
 --compare OLD.json`` re-measures the named benchmark gates and exits
-non-zero if any slowed past ``--tolerance`` versus the committed
-baseline (:mod:`repro.experiments.benchcmp`).
+non-zero if any exceeds its bound — ``--tolerance`` times the committed
+baseline, or a fixed ceiling for the on/off overhead ratios
+(:mod:`repro.experiments.benchcmp`).
 
 ``campaign {run,status,report,agg}`` drives declarative scenario-grid
 campaigns (:mod:`repro.campaigns`): ``run`` executes/resumes a spec

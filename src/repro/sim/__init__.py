@@ -9,12 +9,7 @@ seconds to the paper's day-of-week/time-of-day coordinates, and a fast
 cross-validates the event-driven results at full paper scale.
 """
 
-from .batch import (
-    SoAQueues,
-    fifo_departures,
-    fifo_departures_grouped,
-    round_robin_departures,
-)
+from .batch import SoAQueues
 from .calendar import (
     DAY_NAMES,
     SECONDS_PER_DAY,
@@ -35,9 +30,6 @@ __all__ = [
     "Engine",
     "EventHandle",
     "SoAQueues",
-    "fifo_departures",
-    "fifo_departures_grouped",
-    "round_robin_departures",
     "PRIORITY_HIGH",
     "PRIORITY_NORMAL",
     "PRIORITY_LOW",

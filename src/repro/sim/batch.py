@@ -30,133 +30,21 @@ How :class:`SoAQueues` stays exact (see ``docs/performance.md``):
 * **Pool split** — completion is not a simulation step: admitted
   requests wait in one pool and each :meth:`SoAQueues.drain` splits it
   once at the flush boundary.
-
-The cumsum/running-max unroll of the Lindley recursion
-(:func:`fifo_departures` and friends) stays out of the data plane: it
-reassociates the float additions and differs from the sequential
-recursion by a few ulps on a large share of departures (17–86 % in
-``docs/performance.md``'s measurements), which would break bit-identity
-with the scalar engine.  It serves the kernel benchmarks.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = [
-    "SoAQueues",
-    "fifo_departures",
-    "fifo_departures_grouped",
-    "round_robin_departures",
-]
+__all__ = ["SoAQueues"]
 
 #: Pooled or drained requests: (stations, departure_times,
 #: arrival_times, service_times), one element per request.
 Entries = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def fifo_departures(
-    arrivals: np.ndarray, services: np.ndarray, ready: float = -math.inf
-) -> np.ndarray:
-    """Departure times of one FIFO server, vectorized Lindley recursion.
-
-    ``dep[i] = max(arrivals[i], dep[i-1]) + services[i]`` computed
-    without a Python loop: with ``C = cumsum(services)`` the recursion
-    unrolls to ``dep = C + running_max(arrivals - C_shifted)``, a
-    cumulative sum plus a cumulative maximum.
-
-    Parameters
-    ----------
-    arrivals:
-        Sorted arrival times of the server's request sequence.
-    services:
-        Matching service times.
-    ready:
-        Time the server frees up from earlier work (the in-service
-        request's departure); defaults to "idle forever".
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    services = np.asarray(services, dtype=np.float64)
-    if arrivals.shape != services.shape:
-        raise ConfigurationError(
-            f"arrivals and services must align, got {arrivals.shape} vs {services.shape}"
-        )
-    if arrivals.size == 0:
-        return np.empty(0)
-    totals = np.cumsum(services)
-    floors = np.empty_like(totals)
-    floors[0] = max(float(arrivals[0]), ready)
-    floors[1:] = arrivals[1:] - totals[:-1]
-    return totals + np.maximum.accumulate(floors)
-
-
-def fifo_departures_grouped(
-    arrivals: np.ndarray,
-    services: np.ndarray,
-    ready: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Row-wise :func:`fifo_departures` for a ``(stations, n)`` matrix.
-
-    Each row is one server's request sequence; ``ready`` optionally
-    gives each server's free-up time.  This is the grouped form the
-    dispatch-group benchmarks exercise.
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    services = np.asarray(services, dtype=np.float64)
-    if arrivals.shape != services.shape or arrivals.ndim != 2:
-        raise ConfigurationError(
-            f"expected matching 2-D arrays, got {arrivals.shape} vs {services.shape}"
-        )
-    if arrivals.shape[1] == 0:
-        return np.empty_like(arrivals)
-    totals = np.cumsum(services, axis=1)
-    floors = np.empty_like(totals)
-    if ready is None:
-        floors[:, 0] = arrivals[:, 0]
-    else:
-        floors[:, 0] = np.maximum(arrivals[:, 0], ready)
-    floors[:, 1:] = arrivals[:, 1:] - totals[:, :-1]
-    return totals + np.maximum.accumulate(floors, axis=1)
-
-
-def round_robin_departures(
-    arrivals: np.ndarray, services: np.ndarray, stations: int
-) -> np.ndarray:
-    """Departures of a sorted arrival stream dispatched round-robin.
-
-    Arrival ``i`` goes to station ``i mod stations``; each station is an
-    unbounded FIFO server.  One reshape turns the stream into per-station
-    rows, one grouped Lindley pass computes every departure — this is
-    the 50 k-request kernel benchmark that replaces 100 k scalar engine
-    events with a handful of array operations.
-
-    Returns the departure times in arrival order.
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    services = np.asarray(services, dtype=np.float64)
-    if stations < 1:
-        raise ConfigurationError(f"stations must be >= 1, got {stations}")
-    n = arrivals.size
-    if n == 0:
-        return np.empty(0)
-    m = int(stations)
-    rounds = -(-n // m)
-    # Pad the final round with never-arriving requests; padded entries
-    # sit at each station's tail, so the running max never leaks them
-    # into real departures.
-    a2 = np.full(rounds * m, np.inf)
-    s2 = np.zeros(rounds * m)
-    a2[:n] = arrivals
-    s2[:n] = services
-    dep = fifo_departures_grouped(
-        a2.reshape(rounds, m).T, s2.reshape(rounds, m).T
-    )
-    return dep.T.ravel()[:n]
 
 
 class SoAQueues:

@@ -3,10 +3,9 @@
 Three layers of evidence that ``repro.sim.batch`` + ``VectorFleet``
 are a *performance* change and not a *semantics* change:
 
-1. Kernel unit tests — every array kernel (Lindley unroll, grouped
-   rows, round-robin reshape, SoA dispatch-time departures with the
-   verify-and-cut admission check, pool split) checked against a
-   brute-force scalar loop.
+1. Kernel unit tests — the SoA dispatch-time departures, the
+   verify-and-cut admission check and the pool split, checked against
+   a brute-force scalar loop.
 2. Backend cross-checks — ``des-vec`` vs ``des`` on jitterless web and
    scientific scenarios must agree **bit-for-bit** on the control
    trajectory and exactly on every count; the fluid backend ties in as
@@ -31,18 +30,11 @@ from repro.cloud.monitor import Monitor
 from repro.cloud.vecfleet import VectorFleet
 from repro.core import AdaptivePolicy, QoSTarget, StaticPolicy
 from repro.economy import PricingModel, SpotPolicy
-from repro.errors import ConfigurationError
 from repro.experiments import run_policy, scientific_scenario, web_scenario
 from repro.backends import DESVecBackend
 from repro.metrics.collector import MetricsCollector
 from repro.workloads.base import ServiceTimeSampler
-from repro.sim import (
-    Engine,
-    SoAQueues,
-    fifo_departures,
-    fifo_departures_grouped,
-    round_robin_departures,
-)
+from repro.sim import Engine, SoAQueues
 from repro.workloads import ScientificWorkload, WebWorkload
 
 # ---------------------------------------------------------------------------
@@ -50,74 +42,14 @@ from repro.workloads import ScientificWorkload, WebWorkload
 # ---------------------------------------------------------------------------
 
 
-def _lindley_loop(arrivals, services, ready=-math.inf):
+def _lindley_loop(arrivals, services):
     dep = []
-    prev = ready
+    prev = -math.inf
     for a, s in zip(arrivals, services):
         start = max(a, prev)
         prev = start + s
         dep.append(prev)
     return np.array(dep)
-
-
-def test_fifo_departures_matches_scalar_loop():
-    rng = np.random.default_rng(7)
-    arrivals = np.sort(rng.uniform(0.0, 100.0, size=200))
-    services = rng.exponential(2.0, size=200)
-    # The cumsum unroll reassociates the float additions, so the match
-    # is to within a few ulps, not bitwise (the SoA data plane used by
-    # VectorFleet performs the scalar-ordered arithmetic and IS exact).
-    np.testing.assert_allclose(
-        fifo_departures(arrivals, services),
-        _lindley_loop(arrivals, services),
-        rtol=1e-12,
-    )
-
-
-def test_fifo_departures_respects_ready_time():
-    arrivals = np.array([1.0, 2.0, 3.0])
-    services = np.array([1.0, 1.0, 1.0])
-    # Server busy until t=10: everything queues behind it.
-    np.testing.assert_array_equal(
-        fifo_departures(arrivals, services, ready=10.0),
-        np.array([11.0, 12.0, 13.0]),
-    )
-
-
-def test_fifo_departures_empty_and_mismatch():
-    assert fifo_departures(np.empty(0), np.empty(0)).size == 0
-    with pytest.raises(ConfigurationError):
-        fifo_departures(np.zeros(3), np.zeros(2))
-
-
-def test_fifo_departures_grouped_rows_are_independent_servers():
-    rng = np.random.default_rng(11)
-    arrivals = np.sort(rng.uniform(0.0, 50.0, size=(4, 40)), axis=1)
-    services = rng.exponential(1.5, size=(4, 40))
-    ready = rng.uniform(0.0, 10.0, size=4)
-    got = fifo_departures_grouped(arrivals, services, ready=ready)
-    for row in range(4):
-        np.testing.assert_allclose(
-            got[row],
-            _lindley_loop(arrivals[row], services[row], ready=ready[row]),
-            rtol=1e-12,
-        )
-
-
-def test_round_robin_departures_matches_scalar_dispatch():
-    rng = np.random.default_rng(3)
-    n, m = 237, 5  # deliberately not a multiple of m: exercises padding
-    arrivals = np.sort(rng.uniform(0.0, 300.0, size=n))
-    services = rng.exponential(4.0, size=n)
-    got = round_robin_departures(arrivals, services, m)
-    free = [-math.inf] * m
-    want = np.empty(n)
-    for i in range(n):
-        q = i % m
-        start = max(arrivals[i], free[q])
-        free[q] = start + services[i]
-        want[i] = free[q]
-    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def _scalar_round_robin(arrivals, services, width, capacity, recent):

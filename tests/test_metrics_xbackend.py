@@ -13,12 +13,14 @@ interrupt-path flush guarantee, and the benchmark-comparison gates.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core import AdaptivePolicy
 from repro.experiments import run_policy, web_scenario
 from repro.experiments.benchcmp import (
+    BENCH_GATES,
     GateResult,
     baseline_document,
     compare_to_baseline,
@@ -33,6 +35,7 @@ from repro.obs.render import render_timeline
 from repro.workloads import WebWorkload
 
 METRICS = MetricsConfig()
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -291,8 +294,6 @@ def test_campaign_interrupt_flushes_borrowed_bus(tmp_path, monkeypatch):
 
 
 def test_lookup_gate_reads_both_baseline_shapes():
-    legacy = {"scalar": {"engine_event_throughput_50k": {"min": 0.015}}}
-    assert lookup_gate(legacy, "engine_event_throughput_50k") == 0.015
     uniform = {"gates": {"engine_event_throughput_50k": {"seconds": 0.02}}}
     assert lookup_gate(uniform, "engine_event_throughput_50k") == 0.02
     assert lookup_gate({}, "engine_event_throughput_50k") is None
@@ -310,6 +311,35 @@ def test_gate_result_regression_logic():
     assert missing.ratio is None and not missing.regressed
     report = format_comparison([ok, bad, missing])
     assert "REGRESSED" in report and "no-baseline" in report
+
+
+def test_ceiling_gate_regresses_above_its_ceiling_whatever_the_baseline():
+    # 1.30 is within 3x of a 1.0 baseline, but above the 1.25 ceiling.
+    over = GateResult("g", new_seconds=1.30, old_seconds=1.0, tolerance=3.0, ceiling=1.25)
+    assert over.bound == 1.25 and over.regressed
+    assert "REGRESSED" in format_comparison([over])
+    # Without a baseline a ceiling gate still has a verdict.
+    under = GateResult("g", new_seconds=1.10, old_seconds=None, tolerance=3.0, ceiling=1.25)
+    assert not under.regressed
+    assert "no-baseline" not in format_comparison([under])
+
+
+def test_every_gate_has_a_ceiling_or_a_committed_baseline():
+    committed = json.loads((REPO_ROOT / "BENCH_PR17.json").read_text())
+    missing = [
+        gate_id
+        for gate_id, gate in BENCH_GATES.items()
+        if gate.ceiling is None and lookup_gate(committed, gate_id) is None
+    ]
+    assert missing == []
+    ceilings = {g: BENCH_GATES[g].ceiling for g in BENCH_GATES if BENCH_GATES[g].ceiling}
+    assert ceilings == {
+        "metrics_overhead_ratio": 1.25,
+        "shard_orchestration_overhead": 1.25,
+        "profit_policy_overhead": 1.35,
+    }
+    # --quick (what CI runs) still measures every ceiling gate.
+    assert not any(BENCH_GATES[g].slow for g in ceilings)
 
 
 def test_compare_to_baseline_measures_and_diffs():
