@@ -37,7 +37,6 @@ from .core import (
 )
 from .experiments import (
     PolicySpec,
-    RunResult,
     ScenarioConfig,
     run_policy,
     run_replications,
@@ -93,7 +92,6 @@ __all__ = [
     "run_policy",
     "run_replications",
     "PolicySpec",
-    "RunResult",
 ]
 
 

@@ -1,10 +1,17 @@
-"""Execution-backend protocol and the unified run-metrics record.
+"""Execution-backend protocol, the unified run-metrics record and the
+run lifecycle every backend shares.
 
 A *backend* is a way of executing one ``(scenario, policy)``
-replication: the event-per-request DES (:class:`~repro.backends.des.DESBackend`)
-or the interval-analytical fluid engine
-(:class:`~repro.backends.fluid.FluidBackend`).  Both satisfy
-:class:`ExecutionBackend` and both return the same
+replication.  There are three, on two engines: the discrete-event
+simulation, driven by one replication driver
+(:class:`~repro.backends.des.DESDriver`) over either of two data
+planes — the event-per-request plane (:class:`~repro.backends.des.DESBackend`)
+or the batched structure-of-arrays plane
+(:class:`~repro.backends.des_vec.DESVecBackend`) — and the
+interval-analytical fluid engine
+(:class:`~repro.backends.fluid.FluidBackend`).  All three satisfy
+:class:`ExecutionBackend`, run inside one :func:`run_lifecycle` (trace
+bus, ``run.start``/``run.end``, telemetry stream) and return the same
 :class:`RunMetrics` record, so everything downstream — replication
 fan-out, persistence, figures, the CLI perf summary, trace validation —
 works identically regardless of how the run was executed.
@@ -17,25 +24,21 @@ nothing about the other.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
-
-try:
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - py3.7 fallback, not supported
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
+from typing import Dict, Iterator, Optional, Protocol, Tuple, Union, runtime_checkable
 
 from ..errors import ConfigurationError, SimulationError
+from ..obs.bus import TraceBus, TraceConfig
+from ..obs.profile import RunProfile
 
 __all__ = [
     "RunMetrics",
     "ExecutionBackend",
     "resolve_backend",
     "check_conservation",
+    "economy_fields",
+    "run_lifecycle",
     "BACKENDS",
 ]
 
@@ -85,8 +88,10 @@ class RunMetrics:
         Host wall-clock of the run — the only field that is not a
         deterministic function of (scenario, policy, seed, backend).
     events:
-        DES: engine events fired.  Fluid: integration intervals
-        evaluated.  Either way, the backend's unit of work.
+        The backend's unit of work.  des: engine events fired.
+        des-vec: engine events, pulled arrival windows and the arrivals
+        and completions the array plane absorbed.  Fluid: integration
+        intervals evaluated.
     fleet_series:
         ``(time, instances)`` trajectory.  DES: per instance-lifecycle
         change when the scenario tracks it (empty otherwise).  Fluid:
@@ -97,7 +102,7 @@ class RunMetrics:
         ``tests/test_backend_xcheck.py`` compares bit-for-bit.  Empty
         for policies without a control plane (Static-N on the DES).
     backend:
-        ``"des"`` or ``"fluid"``.
+        ``"des"``, ``"des-vec"`` or ``"fluid"``.
     cache_hits, cache_misses:
         Algorithm-1 decision-cache counters of the run's modeler
         (both 0 for policies without one, e.g. Static-N).
@@ -180,6 +185,19 @@ class RunMetrics:
         return min(1.0, met / self.total_requests)
 
 
+def economy_fields(totals) -> Dict[str, float]:
+    """The :class:`RunMetrics` economy fields of an
+    :class:`~repro.economy.ledger.EconomyTotals` bill."""
+    return dict(
+        revenue=totals.revenue,
+        cost=totals.cost,
+        penalty=totals.penalty,
+        profit=totals.profit,
+        spot_vm_hours=totals.spot_vm_hours,
+        revocations=totals.revocations,
+    )
+
+
 def check_conservation(
     metrics: RunMetrics, arrivals: int, in_flight: int, busy_seconds: float
 ) -> None:
@@ -215,6 +233,88 @@ def check_conservation(
             f"{metrics.backend} run {metrics.scenario}/{metrics.policy}/"
             f"seed {metrics.seed} breaks conservation: " + "; ".join(errors)
         )
+
+
+class RunLifecycle:
+    """What one replication does the same way on every backend.
+
+    Yielded by :func:`run_lifecycle`.  ``tracer`` is the run's trace bus
+    (``None`` = tracing off) and ``profile`` its
+    :class:`~repro.obs.profile.RunProfile`; the backend hands its
+    :class:`~repro.obs.metrics.RunTelemetry` (if any) to
+    :meth:`open_telemetry`, finalizes it through
+    :meth:`finish_telemetry` and marks the end of the run with
+    :meth:`end`.
+    """
+
+    __slots__ = ("tracer", "profile", "telemetry", "_metrics", "_names")
+
+    def __init__(self, tracer, metrics, scenario: str, policy: str, seed: int) -> None:
+        self.tracer: Optional[TraceBus] = tracer
+        self.profile = RunProfile()
+        self.telemetry = None
+        self._metrics = metrics
+        self._names = (scenario, policy, seed)
+
+    def open_telemetry(self, telemetry) -> None:
+        """Adopt the run's telemetry.
+
+        History off + path on: stream each snapshot to disk as it is
+        taken.
+        """
+        self.telemetry = telemetry
+        if self._metrics.path and not self._metrics.history:
+            telemetry.open_stream(self._metrics.resolve_path(*self._names))
+
+    def finish_telemetry(self, *counts, **cache) -> dict:
+        """Finalize the telemetry (``{}`` without one) and write its JSONL."""
+        if self.telemetry is None:
+            return {}
+        dump = self.telemetry.finalize(*counts, **cache)
+        if self._metrics.path:
+            self.telemetry.write_jsonl(self._metrics.resolve_path(*self._names))
+        return dump
+
+    def end(self, now: float, events: int, compactions: int) -> None:
+        """Emit ``run.end`` and count the trace events the run emitted."""
+        if self.tracer is not None:
+            self.tracer.emit("run.end", now, events=events, compactions=compactions)
+            self.profile.count("trace_events", self.tracer.emitted)
+
+
+@contextmanager
+def run_lifecycle(
+    scenario, policy, seed: int, trace: Optional[Union[TraceConfig, TraceBus]], metrics
+) -> Iterator[RunLifecycle]:
+    """Open one replication's trace bus and telemetry stream; close both.
+
+    ``trace`` is ``None`` (untraced), a
+    :class:`~repro.obs.bus.TraceConfig` — a per-run bus is built here
+    and closed on exit, the picklable form the parallel path needs — or
+    a ready :class:`~repro.obs.bus.TraceBus`, used as-is and left open
+    so callers can inspect an in-memory ring buffer after the run.
+    ``run.start`` is emitted on entry.  On exit, normal or not, an open
+    telemetry stream is published, so an interrupted run keeps its
+    partial snapshot series, and an owned bus is closed.
+    """
+    owns_bus = isinstance(trace, TraceConfig)
+    tracer = trace.build(scenario.name, policy.name, seed) if owns_bus else trace
+    life = RunLifecycle(tracer, metrics, scenario.name, policy.name, seed)
+    try:
+        if tracer is not None:
+            tracer.emit(
+                "run.start",
+                0.0,
+                scenario=scenario.name,
+                policy=policy.name,
+                seed=int(seed),
+            )
+        yield life
+    finally:
+        if life.telemetry is not None:
+            life.telemetry.close_stream()
+        if owns_bus and tracer is not None:
+            tracer.close()
 
 
 @runtime_checkable
@@ -284,5 +384,5 @@ def resolve_backend(
         return spec
     raise ConfigurationError(
         f"cannot interpret {spec!r} as an execution backend; "
-        "pass 'des', 'fluid', or an ExecutionBackend instance"
+        f"pass one of {sorted(BACKENDS)} or an ExecutionBackend instance"
     )

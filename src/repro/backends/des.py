@@ -1,9 +1,23 @@
-"""DES execution backend — event-per-request simulation.
+"""DES execution backends — one replication driver, two data planes.
 
-Home of :func:`build_context` (the data-plane wiring that used to live
-in ``repro.experiments.runner``) and :class:`DESBackend`, which runs
-one replication through the event loop and reports the unified
-:class:`~repro.backends.base.RunMetrics`.
+:class:`DESDriver` runs one ``(scenario, policy)`` replication of the
+discrete-event simulation: it wires the shared part of the data plane
+(random streams, engine, collector, data center, monitor, service
+sampler), attaches the policy, the profit ledger and the telemetry,
+runs to the horizon, finalizes the collector and reports the unified
+:class:`~repro.backends.base.RunMetrics`, checked against the
+conservation laws.  A data plane supplies only three things: how the
+fleet, admission and source are wired (:meth:`DESDriver._wire`), how
+the run reaches the horizon (:meth:`DESDriver._drive`) and what it
+counts as work (:meth:`DESDriver._tally`).
+
+:class:`DESBackend` (``"des"``) is the event-per-request plane: an
+:class:`~repro.cloud.fleet.ApplicationFleet` behind
+:class:`~repro.cloud.admission.AdmissionControl`, fed by a cursor
+broker that schedules every arrival.  The batched plane
+(``"des-vec"``) lives in :mod:`repro.backends.des_vec`.
+:func:`build_context` wires the scalar plane for callers that drive
+the engine themselves.
 
 Replications use spawned random streams (seed 0, 1, 2 …), so each is
 independent yet exactly reproducible, and policies compared on the same
@@ -14,7 +28,7 @@ comparison benefits from).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from ..cloud.admission import AdmissionControl
 from ..cloud.broker import WorkloadSource
@@ -31,12 +45,12 @@ from ..obs.metrics import MetricsConfig, RunTelemetry
 from ..obs.profile import RunProfile, Stopwatch
 from ..sim.engine import Engine
 from ..sim.rng import RandomStreams
-from .base import RunMetrics, check_conservation
+from .base import RunMetrics, check_conservation, economy_fields, run_lifecycle
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
     from ..experiments.scenario import ScenarioConfig
 
-__all__ = ["DESBackend", "build_context"]
+__all__ = ["DESDriver", "DESBackend", "build_context"]
 
 
 def build_context(
@@ -47,74 +61,14 @@ def build_context(
     audit: Optional[object] = None,
     registry: Optional[object] = None,
 ) -> SimulationContext:
-    """Wire the data plane of one replication (no policy attached).
+    """Wire the scalar data plane of one replication (no policy attached).
 
     ``tracer`` (a :class:`~repro.obs.bus.TraceBus`), ``audit`` (a
     :class:`~repro.obs.audit.DecisionAuditLog`) and ``registry`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) are threaded into every
     instrumented component; all default to ``None`` — observability off.
     """
-    streams = RandomStreams(seed)
-    engine = Engine(tracer=tracer)
-    workload = scenario.workload
-    metrics = MetricsCollector(
-        qos_response_time=scenario.qos.max_response_time,
-        track_fleet_series=scenario.track_fleet_series,
-    )
-    datacenter = Datacenter(
-        num_hosts=scenario.num_hosts,
-        cores_per_host=scenario.cores_per_host,
-        ram_per_host_mb=scenario.ram_per_host_mb,
-    )
-    monitor = Monitor(
-        engine=engine,
-        metrics=metrics,
-        default_service_time=workload.mean_service_time,
-        rate_sample_interval=scenario.rate_sample_interval,
-        tracer=tracer,
-        registry=registry,
-    )
-    sampler = workload.service_sampler(streams.get("service"))
-    capacity = scenario.capacity
-    fleet = ApplicationFleet(
-        engine=engine,
-        datacenter=datacenter,
-        sampler=sampler,
-        monitor=monitor,
-        metrics=metrics,
-        capacity=capacity,
-        balancer=balancer,
-        boot_delay=scenario.boot_delay,
-        tracer=tracer,
-    )
-    admission = AdmissionControl(
-        fleet, monitor, count_arrivals=scenario.count_arrivals, tracer=tracer
-    )
-    source = WorkloadSource(
-        engine=engine,
-        workload=workload,
-        rng=streams.get("arrivals"),
-        admission=admission,
-        horizon=scenario.horizon,
-        tracer=tracer,
-    )
-    return SimulationContext(
-        engine=engine,
-        streams=streams,
-        workload=workload,
-        qos=scenario.qos,
-        capacity=capacity,
-        datacenter=datacenter,
-        fleet=fleet,
-        monitor=monitor,
-        metrics=metrics,
-        admission=admission,
-        source=source,
-        horizon=scenario.horizon,
-        tracer=tracer,
-        audit=audit,
-        registry=registry,
-    )
+    return DESBackend()._build_context(scenario, seed, balancer, tracer, audit, registry)
 
 
 def _build_telemetry(
@@ -126,9 +80,9 @@ def _build_telemetry(
 ) -> RunTelemetry:
     """One :class:`RunTelemetry` wired to a built DES context.
 
-    Shared by the scalar and vectorized DES backends so both sample the
-    identical snapshot fields at the identical cadence
-    (``metrics.interval`` falling back to the scenario's control epoch).
+    Both data planes sample the identical snapshot fields at the
+    identical cadence (``metrics.interval`` falling back to the
+    scenario's control epoch).
     """
     modeler = getattr(ctx.provisioner, "modeler", None)
     cache_fn = (
@@ -159,8 +113,8 @@ def _build_ledger(
 
     ``None`` when the scenario carries no pricing model — economics is
     strictly opt-in, so priced and unpriced runs differ only by the
-    extra low-priority accounting tick.  Shared by the scalar and
-    vectorized DES backends so both bill at the identical cadence.
+    extra low-priority accounting tick.  Both data planes bill at the
+    identical cadence.
     """
     if scenario.pricing is None:
         return None
@@ -184,17 +138,184 @@ def _finalize_ledger(ledger: Optional[ProfitLedger], ctx, now: float) -> dict:
     totals = ledger.finalize(
         now, revocations=revoker.revocations if revoker is not None else 0
     )
-    return dict(
-        revenue=totals.revenue,
-        cost=totals.cost,
-        penalty=totals.penalty,
-        profit=totals.profit,
-        spot_vm_hours=totals.spot_vm_hours,
-        revocations=totals.revocations,
-    )
+    return economy_fields(totals)
 
 
-class DESBackend:
+class DESDriver:
+    """Build → run → finalize of one DES replication, over any data plane.
+
+    Subclasses are the data planes; each keeps a ``run`` of its own
+    that calls :meth:`_replicate`.
+    """
+
+    def _build_context(
+        self,
+        scenario: "ScenarioConfig",
+        seed: int,
+        balancer: Optional[LoadBalancer],
+        tracer: Optional[TraceBus],
+        audit: Optional[object],
+        registry: Optional[object],
+    ) -> SimulationContext:
+        """The shared data-plane prefix, then the plane's own wiring.
+
+        Construction order fixes the event sequence numbers (the
+        monitor schedules its rate sampler when it is built), so both
+        planes build the prefix identically before :meth:`_wire`.
+        """
+        streams = RandomStreams(seed)
+        engine = Engine(tracer=tracer)
+        workload = scenario.workload
+        metrics = MetricsCollector(
+            qos_response_time=scenario.qos.max_response_time,
+            track_fleet_series=scenario.track_fleet_series,
+        )
+        datacenter = Datacenter(
+            num_hosts=scenario.num_hosts,
+            cores_per_host=scenario.cores_per_host,
+            ram_per_host_mb=scenario.ram_per_host_mb,
+        )
+        monitor = Monitor(
+            engine=engine,
+            metrics=metrics,
+            default_service_time=workload.mean_service_time,
+            rate_sample_interval=scenario.rate_sample_interval,
+            tracer=tracer,
+            registry=registry,
+        )
+        sampler = workload.service_sampler(streams.get("service"))
+        ctx = SimulationContext(
+            engine=engine,
+            streams=streams,
+            workload=workload,
+            qos=scenario.qos,
+            capacity=scenario.capacity,
+            datacenter=datacenter,
+            fleet=None,
+            monitor=monitor,
+            metrics=metrics,
+            admission=None,
+            source=None,
+            horizon=scenario.horizon,
+            tracer=tracer,
+            audit=audit,
+            registry=registry,
+        )
+        self._wire(ctx, scenario, sampler, balancer)
+        return ctx
+
+    def _wire(self, ctx: SimulationContext, scenario, sampler, balancer) -> None:
+        """Set ``ctx.fleet``, ``ctx.admission`` and ``ctx.source``."""
+        raise NotImplementedError
+
+    def _drive(self, ctx: SimulationContext, horizon: float) -> None:
+        """Run the built context up to ``horizon``."""
+        raise NotImplementedError
+
+    def _tally(self, ctx: SimulationContext, profile: RunProfile) -> Tuple[int, int]:
+        """Count the run's work into ``profile``.
+
+        Returns ``(run.end events, RunMetrics.events)``.
+        """
+        raise NotImplementedError
+
+    def _replicate(
+        self,
+        scenario: "ScenarioConfig",
+        policy: ProvisioningPolicy,
+        seed: int,
+        balancer: Optional[LoadBalancer],
+        trace: Optional[Union[TraceConfig, TraceBus]],
+        audit: Optional[object],
+        metrics: Optional[MetricsConfig],
+    ) -> RunMetrics:
+        """Run one replication of (scenario, policy) and collect metrics."""
+        with run_lifecycle(scenario, policy, seed, trace, metrics) as life:
+            tracer, profile = life.tracer, life.profile
+            with profile.phase("build"):
+                registry = (
+                    metrics.build(scenario.qos.max_response_time)
+                    if metrics is not None
+                    else None
+                )
+                ctx = self._build_context(
+                    scenario, seed, balancer, tracer, audit, registry
+                )
+                policy.attach(ctx)
+                ledger = _build_ledger(scenario, policy, ctx, tracer, registry)
+                if ledger is not None:
+                    ledger.install(ctx.engine)
+                if metrics is not None:
+                    telemetry = _build_telemetry(metrics, registry, scenario, ctx, tracer)
+                    telemetry.install(ctx.engine)
+                    life.open_telemetry(telemetry)
+                ctx.source.start()
+            watch = Stopwatch()
+            with profile.phase("run"):
+                self._drive(ctx, scenario.horizon)
+            wall = watch.elapsed()
+            with profile.phase("finalize"):
+                now = ctx.engine.now
+                ctx.metrics.finalize(now, ctx.datacenter.vm_hours(now))
+                m = ctx.metrics
+                scale = scenario.scale
+                modeler = getattr(ctx.provisioner, "modeler", None)
+                cache_hits = modeler.cache_hits if modeler is not None else 0
+                cache_misses = modeler.cache_misses if modeler is not None else 0
+                control = getattr(ctx.provisioner, "control", None)
+                control_series = control.trajectory if control is not None else ()
+                economy = _finalize_ledger(ledger, ctx, now)
+                telemetry_dict = life.finish_telemetry(
+                    m.total_requests,
+                    m.accepted,
+                    m.rejected,
+                    m.completed,
+                    m.violations,
+                    ctx.fleet.serving_count,
+                    cache_hits=cache_hits,
+                    cache_misses=cache_misses,
+                )
+            end_events, events = self._tally(ctx, profile)
+            profile.count("compactions", ctx.engine.compactions)
+            life.end(now, end_events, ctx.engine.compactions)
+            result = RunMetrics(
+                scenario=scenario.name,
+                policy=policy.name,
+                seed=seed,
+                total_requests=m.total_requests,
+                accepted=m.accepted,
+                completed=m.completed,
+                rejected=m.rejected,
+                rejection_rate=m.rejection_rate,
+                mean_response_time=m.mean_response_time / scale,
+                response_time_std=m.response_time_std / scale,
+                qos_violations=m.violations,
+                min_instances=m.min_instances if m.min_instances is not None else 0,
+                max_instances=m.max_instances if m.max_instances is not None else 0,
+                vm_hours=m.vm_hours,
+                core_hours=ctx.datacenter.core_hours(now),
+                failures=m.failures,
+                lost_requests=m.lost_requests,
+                utilization=m.utilization,
+                wall_seconds=wall,
+                events=events,
+                fleet_series=tuple(m.fleet_series),
+                control_series=control_series,
+                backend=self.name,
+                cache_hits=cache_hits,
+                cache_misses=cache_misses,
+                compactions=ctx.engine.compactions,
+                profile=profile.to_dict(),
+                telemetry=telemetry_dict,
+                **economy,
+            )
+            check_conservation(
+                result, ctx.source.generated, ctx.fleet.in_flight, m.busy_seconds
+            )
+            return result
+
+
+class DESBackend(DESDriver):
     """Event-per-request execution of one replication."""
 
     name = "des"
@@ -231,129 +352,37 @@ class DESBackend:
             telemetry lands in :attr:`RunMetrics.telemetry` (and on
             disk when the config has a ``path``).
         """
-        profile = RunProfile()
-        if isinstance(trace, TraceConfig):
-            tracer: Optional[TraceBus] = trace.build(scenario.name, policy.name, seed)
-            owns_bus = True
-        else:
-            tracer = trace
-            owns_bus = False
-        telemetry: Optional[RunTelemetry] = None
-        try:
-            if tracer is not None:
-                tracer.emit(
-                    "run.start",
-                    0.0,
-                    scenario=scenario.name,
-                    policy=policy.name,
-                    seed=int(seed),
-                )
-            with profile.phase("build"):
-                registry = (
-                    metrics.build(scenario.qos.max_response_time)
-                    if metrics is not None
-                    else None
-                )
-                ctx = build_context(
-                    scenario, seed, balancer, tracer=tracer, audit=audit,
-                    registry=registry,
-                )
-                policy.attach(ctx)
-                ledger = _build_ledger(scenario, policy, ctx, tracer, registry)
-                if ledger is not None:
-                    ledger.install(ctx.engine)
-                telemetry = (
-                    _build_telemetry(metrics, registry, scenario, ctx, tracer)
-                    if metrics is not None
-                    else None
-                )
-                if telemetry is not None:
-                    telemetry.install(ctx.engine)
-                    if metrics.path and not metrics.history:
-                        # History off + path on: stream each snapshot
-                        # to disk as it is taken.
-                        telemetry.open_stream(
-                            metrics.resolve_path(scenario.name, policy.name, seed)
-                        )
-                ctx.source.start()
-            watch = Stopwatch()
-            with profile.phase("run"):
-                ctx.engine.run(until=scenario.horizon)
-            wall = watch.elapsed()
-            with profile.phase("finalize"):
-                now = ctx.engine.now
-                ctx.metrics.finalize(now, ctx.datacenter.vm_hours(now))
-                m = ctx.metrics
-                scale = scenario.scale
-                modeler = getattr(ctx.provisioner, "modeler", None)
-                cache_hits = modeler.cache_hits if modeler is not None else 0
-                cache_misses = modeler.cache_misses if modeler is not None else 0
-                control = getattr(ctx.provisioner, "control", None)
-                control_series = control.trajectory if control is not None else ()
-                economy = _finalize_ledger(ledger, ctx, now)
-                telemetry_dict: dict = {}
-                if telemetry is not None:
-                    telemetry_dict = telemetry.finalize(
-                        m.total_requests,
-                        m.accepted,
-                        m.rejected,
-                        m.completed,
-                        m.violations,
-                        ctx.fleet.serving_count,
-                        cache_hits=cache_hits,
-                        cache_misses=cache_misses,
-                    )
-                    if metrics.path:
-                        telemetry.write_jsonl(
-                            metrics.resolve_path(scenario.name, policy.name, seed)
-                        )
-            profile.count("events", ctx.engine.events_fired)
-            profile.count("compactions", ctx.engine.compactions)
-            if tracer is not None:
-                tracer.emit(
-                    "run.end",
-                    now,
-                    events=ctx.engine.events_fired,
-                    compactions=ctx.engine.compactions,
-                )
-                profile.count("trace_events", tracer.emitted)
-            result = RunMetrics(
-                scenario=scenario.name,
-                policy=policy.name,
-                seed=seed,
-                total_requests=m.total_requests,
-                accepted=m.accepted,
-                completed=m.completed,
-                rejected=m.rejected,
-                rejection_rate=m.rejection_rate,
-                mean_response_time=m.mean_response_time / scale,
-                response_time_std=m.response_time_std / scale,
-                qos_violations=m.violations,
-                min_instances=m.min_instances if m.min_instances is not None else 0,
-                max_instances=m.max_instances if m.max_instances is not None else 0,
-                vm_hours=m.vm_hours,
-                core_hours=ctx.datacenter.core_hours(now),
-                failures=m.failures,
-                lost_requests=m.lost_requests,
-                utilization=m.utilization,
-                wall_seconds=wall,
-                events=ctx.engine.events_fired,
-                fleet_series=tuple(m.fleet_series),
-                control_series=control_series,
-                backend=self.name,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                compactions=ctx.engine.compactions,
-                profile=profile.to_dict(),
-                telemetry=telemetry_dict,
-                **economy,
-            )
-            check_conservation(
-                result, ctx.source.generated, ctx.fleet.in_flight, m.busy_seconds
-            )
-            return result
-        finally:
-            if telemetry is not None:
-                telemetry.close_stream()
-            if owns_bus and tracer is not None:
-                tracer.close()
+        return self._replicate(scenario, policy, seed, balancer, trace, audit, metrics)
+
+    def _wire(self, ctx: SimulationContext, scenario, sampler, balancer) -> None:
+        ctx.fleet = ApplicationFleet(
+            engine=ctx.engine,
+            datacenter=ctx.datacenter,
+            sampler=sampler,
+            monitor=ctx.monitor,
+            metrics=ctx.metrics,
+            capacity=ctx.capacity,
+            balancer=balancer,
+            boot_delay=scenario.boot_delay,
+            tracer=ctx.tracer,
+        )
+        ctx.admission = AdmissionControl(
+            ctx.fleet, ctx.monitor, count_arrivals=scenario.count_arrivals,
+            tracer=ctx.tracer,
+        )
+        ctx.source = WorkloadSource(
+            engine=ctx.engine,
+            workload=ctx.workload,
+            rng=ctx.streams.get("arrivals"),
+            admission=ctx.admission,
+            horizon=scenario.horizon,
+            tracer=ctx.tracer,
+        )
+
+    def _drive(self, ctx: SimulationContext, horizon: float) -> None:
+        ctx.engine.run(until=horizon)
+
+    def _tally(self, ctx: SimulationContext, profile: RunProfile) -> Tuple[int, int]:
+        events = ctx.engine.events_fired
+        profile.count("events", events)
+        return events, events

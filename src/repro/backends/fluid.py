@@ -26,10 +26,10 @@ from ..economy.ledger import EconomyTotals, publish_totals
 from ..errors import ConfigurationError
 from ..obs.bus import TraceBus, TraceConfig
 from ..obs.metrics import MetricsConfig, RunTelemetry
-from ..obs.profile import RunProfile, Stopwatch
+from ..obs.profile import Stopwatch
 from ..sim.fluid import FluidSimulator
 from ..sim.rng import RandomStreams
-from .base import RunMetrics
+from .base import RunMetrics, economy_fields, run_lifecycle
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
     from ..experiments.scenario import ScenarioConfig
@@ -81,25 +81,11 @@ class FluidBackend:
         if balancer is not None:
             raise ConfigurationError(
                 "the fluid backend has no per-request data plane; "
-                "load balancers only apply to backend='des'"
+                "load balancers only apply to the DES backends ('des', 'des-vec')"
             )
-        profile = RunProfile()
-        if isinstance(trace, TraceConfig):
-            tracer: Optional[TraceBus] = trace.build(scenario.name, policy.name, seed)
-            owns_bus = True
-        else:
-            tracer = trace
-            owns_bus = False
-        telemetry = None
-        try:
-            if tracer is not None:
-                tracer.emit(
-                    "run.start",
-                    0.0,
-                    scenario=scenario.name,
-                    policy=policy.name,
-                    seed=int(seed),
-                )
+        with run_lifecycle(scenario, policy, seed, trace, metrics) as life:
+            tracer, profile = life.tracer, life.profile
+            telemetry = None
             with profile.phase("build"):
                 sim = FluidSimulator(
                     scenario.workload,
@@ -143,12 +129,7 @@ class FluidBackend:
                         else scenario.update_interval,
                         tracer=tracer,
                     )
-                    if metrics.path and not metrics.history:
-                        # History off + path on: stream each snapshot
-                        # to disk as it is taken.
-                        telemetry.open_stream(
-                            metrics.resolve_path(scenario.name, policy.name, seed)
-                        )
+                    life.open_telemetry(telemetry)
             watch = Stopwatch()
             # Spot policies revoke on the same seeded stream the DES
             # draws from, so the fluid run sees the DES's schedule; this
@@ -204,39 +185,19 @@ class FluidBackend:
                         tracer=tracer,
                         registry=registry,
                     )
-                    economy = dict(
-                        revenue=totals.revenue,
-                        cost=totals.cost,
-                        penalty=totals.penalty,
-                        profit=totals.profit,
-                        spot_vm_hours=totals.spot_vm_hours,
-                        revocations=totals.revocations,
-                    )
-                telemetry_dict: dict = {}
-                if telemetry is not None:
-                    telemetry_dict = telemetry.finalize(
-                        agg.total_requests,
-                        agg.accepted,
-                        agg.rejected,
-                        agg.accepted,  # flows always drain: completed == accepted
-                        0,
-                        agg.fleet_series[-1][1] if agg.fleet_series else 0,
-                        cache_hits=cache_hits,
-                        cache_misses=cache_misses,
-                    )
-                    if metrics.path:
-                        telemetry.write_jsonl(
-                            metrics.resolve_path(scenario.name, policy.name, seed)
-                        )
-            profile.count("intervals", agg.intervals)
-            if tracer is not None:
-                tracer.emit(
-                    "run.end",
-                    scenario.horizon,
-                    events=agg.intervals,
-                    compactions=0,
+                    economy = economy_fields(totals)
+                telemetry_dict = life.finish_telemetry(
+                    agg.total_requests,
+                    agg.accepted,
+                    agg.rejected,
+                    agg.accepted,  # flows always drain: completed == accepted
+                    0,
+                    agg.fleet_series[-1][1] if agg.fleet_series else 0,
+                    cache_hits=cache_hits,
+                    cache_misses=cache_misses,
                 )
-                profile.count("trace_events", tracer.emitted)
+            profile.count("intervals", agg.intervals)
+            life.end(scenario.horizon, agg.intervals, 0)
             return RunMetrics(
                 scenario=scenario.name,
                 policy=policy.name,
@@ -268,8 +229,3 @@ class FluidBackend:
                 telemetry=telemetry_dict,
                 **economy,
             )
-        finally:
-            if telemetry is not None:
-                telemetry.close_stream()
-            if owns_bus and tracer is not None:
-                tracer.close()

@@ -29,7 +29,7 @@ from .figures import (
 )
 from .parallel import PolicySpec, default_workers, run_replications_parallel
 from .persist import load_results, result_from_dict, result_to_dict, save_results
-from .runner import RunMetrics, RunResult, build_context, run_policy, run_replications
+from .runner import RunMetrics, build_context, run_policy, run_replications
 from .scenario import ScenarioConfig, scientific_scenario, web_scenario
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "web_scenario",
     "scientific_scenario",
     "RunMetrics",
-    "RunResult",
     "build_context",
     "run_policy",
     "run_replications",

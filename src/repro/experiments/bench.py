@@ -51,6 +51,36 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
+def _paired_ratio(base, variant, repeats: int):
+    """Order-alternating paired laps of ``base`` and ``variant``.
+
+    One untimed warmup lap each, so imports, allocator warmup and
+    branch predictors charge neither side; then ``repeats`` pairs timed
+    back-to-back, the order flipping every pair (on a single-core host
+    whichever side runs second inherits more allocator/GC debt).  Each
+    pair contributes one variant/base ratio, and the estimate is the
+    *median* pair ratio: it cancels slow host drift and trims the GC
+    spikes that a ratio of two minima keeps re-rolling on short laps.
+
+    Returns ``(best base seconds, best variant seconds, median ratio)``.
+    """
+    base()
+    variant()
+    lo = hi = float("inf")
+    ratios = []
+    for lap in range(max(1, repeats)):
+        if lap % 2 == 0:
+            a = _best_of(base, 1)
+            b = _best_of(variant, 1)
+        else:
+            b = _best_of(variant, 1)
+            a = _best_of(base, 1)
+        lo, hi = min(lo, a), min(hi, b)
+        ratios.append(b / a if a > 0 else float("inf"))
+    ratios.sort()
+    return lo, hi, ratios[len(ratios) // 2]
+
+
 def engine_throughput(events: int = 50_000, repeats: int = 3) -> Dict[str, Any]:
     """Schedule-and-fire ``events`` chained engine events."""
 
@@ -224,24 +254,14 @@ def metrics_overhead(
         )
         snapshots[0] = len(r.telemetry["snapshots"])
 
-    # one untimed lap each so imports / allocator warmup / branch
-    # predictors don't charge their cost to whichever side runs first,
-    # then interleave the timed laps so a host slowdown mid-measurement
-    # penalizes both sides equally instead of whichever ran last
-    disabled()
-    enabled()
-    off = float("inf")
-    on = float("inf")
-    for _ in range(max(1, repeats)):
-        off = min(off, _best_of(disabled, 1))
-        on = min(on, _best_of(enabled, 1))
+    off, on, ratio = _paired_ratio(disabled, enabled, repeats)
     return {
         "disabled_seconds": off,
         "enabled_seconds": on,
-        "overhead_ratio": on / off if off > 0 else float("inf"),
+        "overhead_ratio": ratio,
         "snapshots": snapshots[0],
         "criterion": "<=1.10x",
-        "pass": (on / off <= 1.10) if off > 0 else False,
+        "pass": ratio <= 1.10,
     }
 
 
@@ -308,8 +328,8 @@ def shard_overhead(
     Measures a warm re-run of a small fluid grid twice — with the
     claim protocol enabled (the default) and with ``coordinate=False``
     (the single-writer fast path) — as order-alternating back-to-back
-    pairs, reporting the median pair ratio (see the in-body comment for
-    why minima don't converge on laps this short).  Warm cells are
+    pairs of ~3 ms laps, reporting the median pair ratio
+    (:func:`_paired_ratio`).  Warm cells are
     served from cache without ever being claimed, so the ratio is the
     pure reconcile-loop tax the refactor added to the common resume
     path; the acceptance budget is <=1.05x.  Also reports the per-cell cost of one full
@@ -349,29 +369,7 @@ def shard_overhead(
         def leases_on() -> None:
             run_campaign(spec, store=store, workers=1)
 
-        # Untimed warmup lap each, then paired laps.  Each repeat times
-        # both variants back-to-back (order flipping every lap — on a
-        # single-core host whichever side runs second inherits more
-        # allocator/GC debt) and contributes one on/off ratio; the
-        # reported overhead is the *median* pair ratio, which cancels
-        # slow drift and trims the GC spikes that a best-of-minima
-        # estimator keeps re-rolling on laps this short (~3 ms).
-        leases_off()
-        leases_on()
-        off = float("inf")
-        on = float("inf")
-        ratios = []
-        for lap in range(max(1, repeats)):
-            if lap % 2 == 0:
-                a = _best_of(leases_off, 1)
-                b = _best_of(leases_on, 1)
-            else:
-                b = _best_of(leases_on, 1)
-                a = _best_of(leases_off, 1)
-            off, on = min(off, a), min(on, b)
-            ratios.append(b / a if a > 0 else float("inf"))
-        ratios.sort()
-        ratio = ratios[len(ratios) // 2]
+        off, on, ratio = _paired_ratio(leases_off, leases_on, repeats)
 
         # Micro-cost of the lease cycle itself, per cell.
         def claim_cycle() -> None:
@@ -434,17 +432,9 @@ def profit_policy_overhead(
         for lam in rates:
             m = modeler.decide(lam, 0.105, m).instances
 
-    # Untimed warmup lap each, then interleave the timed laps so host
-    # drift penalizes both sides equally (same scheme as
-    # ``metrics_overhead``).
-    drive(adaptive)
-    drive(profit)
-    base = float("inf")
-    prof = float("inf")
-    for _ in range(max(1, repeats)):
-        base = min(base, _best_of(lambda: drive(adaptive), 1))
-        prof = min(prof, _best_of(lambda: drive(profit), 1))
-    ratio = prof / base if base > 0 else float("inf")
+    base, prof, ratio = _paired_ratio(
+        lambda: drive(adaptive), lambda: drive(profit), repeats
+    )
     return {
         "decisions": steps,
         "adaptive_seconds_per_decision": base / steps,

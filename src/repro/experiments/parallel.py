@@ -21,9 +21,9 @@ backend:
   common-random-numbers discipline is a property of the seed, not of
   the execution order) — only the ``wall_seconds`` diagnostic and the
   ``profile`` timings differ, and both are excluded from
-  ``RunResult`` equality.  Observability counters (decision-cache
+  ``RunMetrics`` equality.  Observability counters (decision-cache
   hits/misses, heap compactions, event counts, phase profiles) are
-  carried *inside* each pickled ``RunResult``, so nothing measured in
+  carried *inside* each pickled ``RunMetrics``, so nothing measured in
   a worker process is lost when the pool shuts down;
 * the sequential path is the graceful fallback whenever the pool is
   not usable: ``workers <= 1``, an unpicklable scenario/factory, or a
@@ -41,6 +41,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from ..core.policies import ProvisioningPolicy
 from ..obs.bus import TraceConfig
 from ..obs.log import get_logger, kv
+from .runner import run_policy, run_replications
 from .scenario import ScenarioConfig
 
 _log = get_logger(__name__)
@@ -105,31 +106,10 @@ def _run_task(
 ):
     """Process-pool entry point: one replication from a picklable tuple."""
     scenario, policy_factory, seed, trace, backend, metrics = task
-    from .runner import run_policy
-
     return run_policy(
         scenario, policy_factory(), seed=seed, trace=trace, backend=backend,
         metrics=metrics,
     )
-
-
-def _sequential(
-    scenario: ScenarioConfig,
-    policy_factory: Callable[[], ProvisioningPolicy],
-    seeds: Sequence[int],
-    trace: Optional[Any] = None,
-    backend: Any = "des",
-    metrics: Optional[Any] = None,
-) -> List[Any]:
-    from .runner import run_policy
-
-    return [
-        run_policy(
-            scenario, policy_factory(), seed=s, trace=trace, backend=backend,
-            metrics=metrics,
-        )
-        for s in seeds
-    ]
 
 
 def run_replications_parallel(
@@ -187,9 +167,8 @@ def run_replications_parallel(
         workers = default_workers()
     n_workers = min(int(workers), len(seeds)) if seeds else 1
     if n_workers <= 1:
-        return _sequential(
-            scenario, policy_factory, seeds, trace=trace, backend=backend,
-            metrics=metrics,
+        return run_replications(
+            scenario, policy_factory, seeds, trace=trace, backend=backend, metrics=metrics
         )
     tasks = [
         (scenario, policy_factory, int(seed), trace, backend, metrics)
@@ -208,9 +187,8 @@ def run_replications_parallel(
                 error=repr(exc),
             ),
         )
-        return _sequential(
-            scenario, policy_factory, seeds, trace=trace, backend=backend,
-            metrics=metrics,
+        return run_replications(
+            scenario, policy_factory, seeds, trace=trace, backend=backend, metrics=metrics
         )
     if chunk_size is None:
         chunk_size = max(1, len(tasks) // n_workers)
@@ -232,7 +210,6 @@ def run_replications_parallel(
                 error=repr(exc),
             ),
         )
-        return _sequential(
-            scenario, policy_factory, seeds, trace=trace, backend=backend,
-            metrics=metrics,
+        return run_replications(
+            scenario, policy_factory, seeds, trace=trace, backend=backend, metrics=metrics
         )

@@ -2,16 +2,13 @@
 
 One :func:`run_policy` call = one replication of (scenario, policy) on
 a chosen execution backend: ``backend="des"`` (default) wires the full
-event-per-request data plane, ``backend="fluid"`` evaluates the same
-control plane analytically (see :mod:`repro.backends`).  Either way the
-result is one unified :class:`~repro.backends.base.RunMetrics` record —
-response times normalized back to paper scale when the scenario is
-rescaled — so replication fan-out, persistence, figures, and the CLI
-perf summary need not care how a run was executed.
-
-``RunResult`` is kept as a module-level alias of :class:`RunMetrics`
-for the many call sites (and saved result sets) that predate the
-backend split.
+event-per-request data plane, ``backend="des-vec"`` the batched one,
+``backend="fluid"`` evaluates the same control plane analytically (see
+:mod:`repro.backends`).  Either way the result is one unified
+:class:`~repro.backends.base.RunMetrics` record — response times
+normalized back to paper scale when the scenario is rescaled — so
+replication fan-out, persistence, figures, and the CLI perf summary
+need not care how a run was executed.
 """
 
 from __future__ import annotations
@@ -25,10 +22,7 @@ from ..core.policies import ProvisioningPolicy
 from ..obs.bus import TraceBus, TraceConfig
 from .scenario import ScenarioConfig
 
-__all__ = ["RunResult", "RunMetrics", "build_context", "run_policy", "run_replications"]
-
-#: Backward-compatible alias — one result type across all backends.
-RunResult = RunMetrics
+__all__ = ["RunMetrics", "build_context", "run_policy", "run_replications"]
 
 
 def run_policy(
@@ -56,7 +50,7 @@ def run_policy(
         Optional :class:`~repro.obs.audit.DecisionAuditLog` capturing
         every Algorithm-1 invocation of this run.
     backend:
-        ``"des"`` (default), ``"fluid"``, or a ready
+        ``"des"`` (default), ``"des-vec"``, ``"fluid"``, or a ready
         :class:`~repro.backends.base.ExecutionBackend` instance.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsConfig`; the run's

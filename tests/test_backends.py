@@ -21,8 +21,11 @@ from repro.experiments import (
     scientific_scenario,
     web_scenario,
 )
-from repro.obs.bus import TraceConfig
+from repro.obs.bus import RingBufferSink, TraceBus, TraceConfig
+from repro.obs.exporters import load_snapshots
+from repro.obs.metrics import MetricsConfig
 from repro.obs.schema import load_trace, validate_trace
+from repro.sim.fluid import FluidSimulator
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +202,8 @@ def test_conservation_holds_on_real_runs(backend):
     assert result.rejected > 0 and result.accepted > result.completed
 
 
-def test_des_conservation_catches_one_accept_counted_as_reject(monkeypatch):
+def _flip_one_scalar_accept(monkeypatch):
+    """Count the scalar plane's first acceptance as a rejection."""
     accept = MetricsCollector.record_acceptance
     flipped = []
 
@@ -211,12 +215,11 @@ def test_des_conservation_catches_one_accept_counted_as_reject(monkeypatch):
             self.record_rejection()
 
     monkeypatch.setattr(MetricsCollector, "record_acceptance", flip)
-    with pytest.raises(SimulationError, match="accepted .* in flight"):
-        run_policy(_CONSERVED, AdaptivePolicy(), seed=0, backend="des")
-    assert flipped
+    return flipped
 
 
-def test_des_vec_conservation_catches_one_accept_counted_as_reject(monkeypatch):
+def _flip_one_batched_accept(monkeypatch):
+    """Count one acceptance of the batched plane's first block as a rejection."""
     accept = MetricsCollector.record_acceptances
     flipped = []
 
@@ -229,6 +232,83 @@ def test_des_vec_conservation_catches_one_accept_counted_as_reject(monkeypatch):
             self.record_rejection()
 
     monkeypatch.setattr(MetricsCollector, "record_acceptances", flip)
+    return flipped
+
+
+def test_des_conservation_catches_one_accept_counted_as_reject(monkeypatch):
+    flipped = _flip_one_scalar_accept(monkeypatch)
+    with pytest.raises(SimulationError, match="accepted .* in flight"):
+        run_policy(_CONSERVED, AdaptivePolicy(), seed=0, backend="des")
+    assert flipped
+
+
+def test_des_vec_conservation_catches_one_accept_counted_as_reject(monkeypatch):
+    flipped = _flip_one_batched_accept(monkeypatch)
     with pytest.raises(SimulationError, match="accepted .* in flight"):
         run_policy(_CONSERVED, AdaptivePolicy(), seed=0, backend="des-vec")
     assert flipped
+
+
+# ----------------------------------------------------------------------
+# run lifecycle (shared by every backend)
+# ----------------------------------------------------------------------
+class _BorrowedSink(RingBufferSink):
+    closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def _make_run_raise(monkeypatch, backend):
+    if backend == "des":
+        _flip_one_scalar_accept(monkeypatch)
+        return SimulationError
+    if backend == "des-vec":
+        _flip_one_batched_accept(monkeypatch)
+        return SimulationError
+
+    def boom(self, *args, **kwargs):
+        raise RuntimeError("fluid run interrupted")
+
+    monkeypatch.setattr(FluidSimulator, "run_adaptive", boom)
+    return RuntimeError
+
+
+@pytest.mark.parametrize("backend", ["des", "des-vec", "fluid"])
+def test_lifecycle_closes_owned_and_keeps_borrowed_on_failure(
+    monkeypatch, tmp_path, backend
+):
+    def run_failing(**observe):
+        with monkeypatch.context() as patch:
+            error = _make_run_raise(patch, backend)
+            with pytest.raises(error) as caught:
+                run_policy(
+                    _CONSERVED, AdaptivePolicy(), seed=0, backend=backend, **observe
+                )
+        return caught
+
+    # Holding the exception keeps the failed run's frames, and so its
+    # bus, alive: the trace below is on disk because the bus was closed,
+    # not because it was garbage-collected.
+    failure = run_failing(
+        trace=TraceConfig(sink="jsonl", path=str(tmp_path / "trace.jsonl")),
+        metrics=MetricsConfig(history=False, path=str(tmp_path / "snapshots.jsonl")),
+    )
+    # The owned bus was closed: the trace is complete JSONL on disk.  The
+    # DES runs fail their conservation check after ``run.end``.
+    events = load_trace(tmp_path / "trace.jsonl")
+    assert events[0]["type"] == "run.start"
+    if backend != "fluid":
+        assert events[-1]["type"] == "run.end"
+    validate_trace(events)
+    # The snapshot stream was published, not left as a .tmp sibling.
+    snapshots = load_snapshots(tmp_path / "snapshots.jsonl")
+    assert not (tmp_path / "snapshots.jsonl.tmp").exists()
+    if backend != "fluid":  # the fluid run failed before its first sample
+        assert snapshots
+    del failure
+
+    sink = _BorrowedSink()
+    run_failing(trace=TraceBus(sink))
+    assert not sink.closed
+    assert sink.of_type("run.start")

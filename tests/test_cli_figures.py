@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import BACKENDS
 from repro.experiments import fig3_data, fig4_data, table2_data
 from repro.experiments.cli import available_experiments, main
 from repro.experiments.figures import fluid_policy_comparison, SCI_STATIC_SIZES
@@ -92,6 +93,27 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     csv_text = (tmp_path / "table2.csv").read_text()
     assert "| week day |" in md
     assert csv_text.splitlines()[0] == "week day,maximum,minimum"
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_cli_run_fig5_on_every_backend(backend, capsys):
+    argv = ["run", "fig5", "--quick", "--scale", "5000", "--seeds", "0"]
+    assert main(argv + ["--backend", backend]) == 0
+    rows = [
+        line.split()[0]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith(("Adaptive", "Static-"))
+    ]
+    assert rows == [
+        "Adaptive", "Static-50", "Static-75", "Static-100", "Static-125", "Static-150"
+    ]
+
+
+def test_cli_rejects_unknown_backend_at_parsing(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig5", "--backend", "quantum"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_unknown_experiment():

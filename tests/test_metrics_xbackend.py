@@ -102,15 +102,16 @@ def test_fluid_snapshot_stream_is_schema_valid(tmp_path, web_jitterless):
     assert last["p95"] == 0.0
 
 
-def test_history_off_stream_matches_in_memory_series(tmp_path, web_jitterless):
+@pytest.mark.parametrize("backend", ["des", "des-vec", "fluid"])
+def test_history_off_stream_matches_in_memory_series(tmp_path, web_jitterless, backend):
     """history=False + path streams every snapshot to disk (regression:
     the combination used to produce an empty JSONL file)."""
     on = run_policy(
-        web_jitterless, AdaptivePolicy(), seed=0, backend="des", metrics=METRICS
+        web_jitterless, AdaptivePolicy(), seed=0, backend=backend, metrics=METRICS
     )
     cfg = MetricsConfig(history=False, path=str(tmp_path) + "/")
     off = run_policy(
-        web_jitterless, AdaptivePolicy(), seed=0, backend="des", metrics=cfg
+        web_jitterless, AdaptivePolicy(), seed=0, backend=backend, metrics=cfg
     )
     assert off.telemetry["snapshots"] == []
     streamed = load_snapshots(cfg.resolve_path(web_jitterless.name, "Adaptive", 0))
